@@ -1,7 +1,9 @@
 //! Criterion benches for the UEC path (Fig. 9, Table 3): qubit-assignment
-//! search, schedule construction, and Monte-Carlo cycles.
+//! search, schedule construction, module construction, and Monte-Carlo
+//! cycles.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hetarch::modules::uec::sim::first_order_table;
 use hetarch::modules::uec::{build_schedule, search_assignment};
 use hetarch::prelude::*;
 
@@ -22,6 +24,7 @@ fn bench_assignment_search(c: &mut Criterion) {
     group.sample_size(10);
     for (name, code) in [
         ("steane_exhaustive", steane()),
+        ("sc3_exhaustive", rotated_surface_code(3)),
         ("color17_hillclimb", color_17()),
         ("sc5_hillclimb", rotated_surface_code(5)),
     ] {
@@ -39,6 +42,26 @@ fn bench_schedule_build(c: &mut Criterion) {
     let assignment = search_assignment(&code, 3, 10);
     group.bench_function("color17", |b| {
         b.iter(|| build_schedule(&code, &assignment, &ch));
+    });
+    group.finish();
+}
+
+/// Everything `UecModule::new` builds per design point (assignment,
+/// schedule, lookup table, fault table), and the fault table alone.
+fn bench_module_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("uec_build");
+    group.sample_size(10);
+    let ch = usc();
+    for d in [3, 5] {
+        let code = rotated_surface_code(d);
+        group.bench_function(BenchmarkId::new("module_new", format!("sc{d}")), |b| {
+            b.iter(|| UecModule::new(code.clone(), ch.clone(), UecNoise::default()));
+        });
+    }
+    let code = rotated_surface_code(5);
+    let serial: Vec<Vec<usize>> = (0..code.stabilizers().len()).map(|s| vec![s]).collect();
+    group.bench_function("first_order_table/sc5", |b| {
+        b.iter(|| first_order_table(&code, &serial));
     });
     group.finish();
 }
@@ -71,6 +94,7 @@ criterion_group!(
     benches,
     bench_assignment_search,
     bench_schedule_build,
+    bench_module_build,
     bench_monte_carlo
 );
 criterion_main!(benches);

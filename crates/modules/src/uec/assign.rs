@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use hetarch_cells::UscChannel;
 use hetarch_stab::codes::StabilizerCode;
+use hetarch_stab::pauli::PauliString;
 
 /// A mapping from data qubit index to register index.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,23 +55,61 @@ impl Assignment {
     /// For one check support, the largest number of its qubits co-located in
     /// a single register (the swap-serialization factor).
     pub fn max_group(&self, support: &[usize]) -> usize {
-        let mut counts = vec![0usize; self.registers as usize];
-        for &q in support {
-            counts[self.of_qubit[q] as usize] += 1;
-        }
-        counts.into_iter().max().unwrap_or(0)
+        let support_word = |w: usize| {
+            support
+                .iter()
+                .filter(|&&q| q / 64 == w)
+                .fold(0u64, |m, &q| m | (1 << (q % 64)))
+        };
+        self.max_group_of(support_word)
     }
 
     /// Total swap-serialization cost over all checks of a code.
     pub fn cost(&self, code: &StabilizerCode) -> usize {
         code.stabilizers()
             .iter()
-            .map(|s| {
-                let support: Vec<usize> = s.iter_support().map(|(q, _)| q).collect();
-                self.max_group(&support)
-            })
+            .map(|s| self.check_max_group(s))
             .sum()
     }
+
+    /// [`Self::max_group`] of the support of `check`.
+    fn check_max_group(&self, check: &PauliString) -> usize {
+        self.max_group_of(|w| check.x_word(w) | check.z_word(w))
+    }
+
+    /// [`Self::max_group`] of the support whose mask word `w` is
+    /// `support_word(w)`.
+    fn max_group_of(&self, support_word: impl Fn(usize) -> u64) -> usize {
+        let words = self.of_qubit.len().div_ceil(64);
+        max_group_masked(words, self.registers, support_word, |r, w| {
+            self.of_qubit
+                .iter()
+                .skip(64 * w)
+                .take(64)
+                .enumerate()
+                .fold(0u64, |m, (i, &reg)| m | (((reg == r) as u64) << i))
+        })
+    }
+}
+
+/// The swap-serialization factor of one check: the largest number of its
+/// qubits sharing one register. Qubit sets are bit masks, 64 qubits per
+/// word: word `w` of the check's support is `support_word(w)` and of
+/// register `r`'s members `member_word(r, w)`.
+fn max_group_masked(
+    words: usize,
+    registers: u32,
+    support_word: impl Fn(usize) -> u64,
+    member_word: impl Fn(u32, usize) -> u64,
+) -> usize {
+    (0..registers)
+        .map(|r| {
+            (0..words)
+                .map(|w| (support_word(w) & member_word(r, w)).count_ones() as usize)
+                .sum()
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// Searches for a good assignment of `code`'s data qubits to `registers`
@@ -90,86 +129,149 @@ pub fn search_assignment(code: &StabilizerCode, registers: u32, modes: u32) -> A
         "code with {n} qubits exceeds capacity {}",
         registers * modes
     );
-    if n <= 10 && registers <= 3 {
-        exhaustive(code, registers, modes)
+    let mut search = Search::new(code, registers, modes);
+    let of_qubit = if n <= 10 && registers <= 3 {
+        search.exhaustive()
     } else {
-        hill_climb(code, registers, modes)
-    }
+        search.hill_climb()
+    };
+    Assignment::new(registers, of_qubit)
 }
 
-fn capacity_ok(of_qubit: &[u32], registers: u32, modes: u32) -> bool {
-    let mut counts = vec![0u32; registers as usize];
-    for &r in of_qubit {
-        counts[r as usize] += 1;
-    }
-    counts.into_iter().all(|c| c <= modes)
+/// A candidate assignment as register membership masks, costed against
+/// the checks' support masks without materialising an [`Assignment`].
+struct Search {
+    registers: u32,
+    modes: u32,
+    words: usize,
+    /// Register of each data qubit.
+    of_qubit: Vec<u32>,
+    /// Register `r`'s qubits at `[r · words, (r + 1) · words)`.
+    members: Vec<u64>,
+    /// Check `s`'s support at `[s · words, (s + 1) · words)`.
+    supports: Vec<u64>,
 }
 
-fn exhaustive(code: &StabilizerCode, registers: u32, modes: u32) -> Assignment {
-    let n = code.num_qubits();
-    let mut best: Option<(usize, Vec<u32>)> = None;
-    let mut of_qubit = vec![0u32; n];
-    // Qubit 0 pinned to register 0 (register labels are symmetric).
-    fn rec(
-        q: usize,
-        of_qubit: &mut Vec<u32>,
-        code: &StabilizerCode,
-        registers: u32,
-        modes: u32,
-        best: &mut Option<(usize, Vec<u32>)>,
-    ) {
-        let n = of_qubit.len();
-        if q == n {
-            if !capacity_ok(of_qubit, registers, modes) {
-                return;
-            }
-            let a = Assignment::new(registers, of_qubit.clone());
-            let cost = a.cost(code);
-            if best.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
-                *best = Some((cost, of_qubit.clone()));
+impl Search {
+    /// Starts with every qubit in register 0.
+    fn new(code: &StabilizerCode, registers: u32, modes: u32) -> Self {
+        let n = code.num_qubits();
+        let words = n.div_ceil(64);
+        let supports = code
+            .stabilizers()
+            .iter()
+            .flat_map(|s| (0..words).map(move |w| s.x_word(w) | s.z_word(w)))
+            .collect();
+        let mut members = vec![0u64; registers as usize * words];
+        for q in 0..n {
+            members[q / 64] |= 1 << (q % 64);
+        }
+        Search {
+            registers,
+            modes,
+            words,
+            of_qubit: vec![0; n],
+            members,
+            supports,
+        }
+    }
+
+    /// Moves qubit `q` to register `r`.
+    fn place(&mut self, q: usize, r: u32) {
+        let (w, bit) = (q / 64, 1u64 << (q % 64));
+        self.members[self.of_qubit[q] as usize * self.words + w] &= !bit;
+        self.members[r as usize * self.words + w] |= bit;
+        self.of_qubit[q] = r;
+    }
+
+    /// Number of qubits in register `r`.
+    fn occupancy(&self, r: u32) -> u32 {
+        let start = r as usize * self.words;
+        self.members[start..start + self.words]
+            .iter()
+            .map(|m| m.count_ones())
+            .sum()
+    }
+
+    fn capacity_ok(&self) -> bool {
+        (0..self.registers).all(|r| self.occupancy(r) <= self.modes)
+    }
+
+    /// [`Assignment::cost`] of the current candidate.
+    fn cost(&self) -> usize {
+        self.supports
+            .chunks_exact(self.words.max(1))
+            .map(|support| {
+                max_group_masked(
+                    self.words,
+                    self.registers,
+                    |w| support[w],
+                    |r, w| self.members[r as usize * self.words + w],
+                )
+            })
+            .sum()
+    }
+
+    /// Every assignment with qubit 0 pinned to register 0 (register labels
+    /// are symmetric), in lexicographic order; the first of least cost
+    /// wins.
+    fn exhaustive(&mut self) -> Vec<u32> {
+        let mut best = None;
+        self.exhaustive_from(1, &mut best);
+        best.expect("at least one assignment exists").1
+    }
+
+    fn exhaustive_from(&mut self, q: usize, best: &mut Option<(usize, Vec<u32>)>) {
+        if q >= self.of_qubit.len() {
+            if self.capacity_ok() {
+                let cost = self.cost();
+                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                    *best = Some((cost, self.of_qubit.clone()));
+                }
             }
             return;
         }
-        let limit = if q == 0 { 1 } else { registers };
-        for r in 0..limit {
-            of_qubit[q] = r;
-            rec(q + 1, of_qubit, code, registers, modes, best);
+        for r in 0..self.registers {
+            self.place(q, r);
+            self.exhaustive_from(q + 1, best);
         }
     }
-    rec(0, &mut of_qubit, code, registers, modes, &mut best);
-    let (_, map) = best.expect("at least one assignment exists");
-    Assignment::new(registers, map)
-}
 
-fn hill_climb(code: &StabilizerCode, registers: u32, modes: u32) -> Assignment {
-    let n = code.num_qubits();
-    // Greedy start: round-robin.
-    let mut map: Vec<u32> = (0..n).map(|q| (q as u32) % registers).collect();
-    let mut cost = Assignment::new(registers, map.clone()).cost(code);
-    let mut improved = true;
-    while improved {
-        improved = false;
+    /// First-improvement hill climbing over single-qubit moves from a
+    /// round-robin start.
+    fn hill_climb(&mut self) -> Vec<u32> {
+        let n = self.of_qubit.len();
         for q in 0..n {
-            let original = map[q];
-            for r in 0..registers {
-                if r == original {
-                    continue;
+            self.place(q, (q as u32) % self.registers);
+        }
+        let mut cost = self.cost();
+        let mut improved = true;
+        while improved {
+            improved = false;
+            for q in 0..n {
+                let original = self.of_qubit[q];
+                for r in 0..self.registers {
+                    if r == original {
+                        continue;
+                    }
+                    self.place(q, r);
+                    // A move that overfills a register is skipped but not
+                    // undone: the next move of `q` starts from it.
+                    if !self.capacity_ok() {
+                        continue;
+                    }
+                    let c = self.cost();
+                    if c < cost {
+                        cost = c;
+                        improved = true;
+                        break;
+                    }
+                    self.place(q, original);
                 }
-                map[q] = r;
-                if !capacity_ok(&map, registers, modes) {
-                    continue;
-                }
-                let c = Assignment::new(registers, map.clone()).cost(code);
-                if c < cost {
-                    cost = c;
-                    improved = true;
-                    break;
-                }
-                map[q] = original;
             }
         }
+        std::mem::take(&mut self.of_qubit)
     }
-    Assignment::new(registers, map)
 }
 
 /// The serialized schedule of one QEC cycle.
@@ -206,9 +308,8 @@ pub fn build_schedule(
     let mut checks = Vec::new();
     let mut total = 0.0;
     for (i, s) in code.stabilizers().iter().enumerate() {
-        let support: Vec<usize> = s.iter_support().map(|(q, _)| q).collect();
-        let w = support.len();
-        let max_group = assignment.max_group(&support);
+        let w = s.weight();
+        let max_group = assignment.check_max_group(s);
         let duration =
             2.0 * max_group as f64 * usc.swap.time + w as f64 * usc.cx.time + usc.readout_time;
         let exposure = 2.0 * usc.swap.time + w as f64 * usc.cx.time;

@@ -404,11 +404,13 @@ struct SlotNoise {
 /// a correction of weight ≤ 1, so that **every** single circuit fault
 /// decodes without a logical error — the property circuit-level decoding
 /// gives the paper's Stim pipeline, recovered here for lookup decoding.
+///
+/// A fault's partial syndrome is its single-site syndrome masked to the
+/// checks of steps ≥ k (DESIGN.md §5l).
 pub fn first_order_table(
     code: &StabilizerCode,
     temporal_groups: &[Vec<usize>],
-) -> std::collections::HashMap<u64, PauliString> {
-    use std::collections::HashMap;
+) -> HashMap<u64, PauliString> {
     let n = code.num_qubits();
     let stabs = code.stabilizers();
     // Gather every single fault's symptom, then resolve: a symptom claimed
@@ -416,47 +418,57 @@ pub fn first_order_table(
     // distinct faults (or by a measurement flip, which wants "identity")
     // decodes to identity — the weight <= 1 residual is then fixed exactly
     // by the perfect round, so *every* single fault is harmless.
-    let mut candidates: HashMap<u64, Vec<PauliString>> = HashMap::new();
+    let mut claims: HashMap<u64, Claim> = HashMap::new();
+    let mut claim = |symptom: u64, cause: Option<(usize, Pauli)>| {
+        claims
+            .entry(symptom)
+            .and_modify(|c| {
+                if *c != Claim::Unique(cause) {
+                    *c = Claim::Ambiguous;
+                }
+            })
+            .or_insert(Claim::Unique(cause));
+    };
     // Single measurement flips want the identity correction.
     for s in 0..stabs.len() {
-        candidates
-            .entry(1u64 << s)
-            .or_default()
-            .push(PauliString::identity(n));
+        claim(1u64 << s, None);
     }
-    for k in 0..temporal_groups.len() {
-        for q in 0..n {
-            for p in [Pauli::X, Pauli::Y, Pauli::Z] {
-                let e = PauliString::from_sparse(n, &[(q, p)]);
-                let mut symptom = 0u64;
-                for group in &temporal_groups[k..] {
-                    for &s in group {
-                        if !stabs[s].commutes_with(&e) {
-                            symptom |= 1 << s;
-                        }
-                    }
-                }
-                let entry = candidates.entry(symptom).or_default();
-                if !entry.contains(&e) {
-                    entry.push(e);
-                }
-            }
+    // Checks measured at step k or later, for each step k.
+    let mut suffix_masks = vec![0u64; temporal_groups.len()];
+    let mut later = 0u64;
+    for (mask, group) in suffix_masks.iter_mut().zip(temporal_groups).rev() {
+        later |= group.iter().fold(0u64, |m, &s| m | (1 << s));
+        *mask = later;
+    }
+    let sites: Vec<((usize, Pauli), u64)> = (0..n)
+        .flat_map(|q| [Pauli::X, Pauli::Y, Pauli::Z].map(|p| ((q, p), code.site_syndrome(q, p))))
+        .collect();
+    for mask in suffix_masks {
+        for &(site, syndrome) in &sites {
+            claim(syndrome & mask, Some(site));
         }
     }
-    let mut table: HashMap<u64, PauliString> = HashMap::new();
+    let mut table: HashMap<u64, PauliString> = claims
+        .into_iter()
+        .filter(|&(symptom, _)| symptom != 0)
+        .map(|(symptom, c)| {
+            let correction = match c {
+                Claim::Unique(Some(site)) => PauliString::from_sparse(n, &[site]),
+                Claim::Unique(None) | Claim::Ambiguous => PauliString::identity(n),
+            };
+            (symptom, correction)
+        })
+        .collect();
     table.insert(0, PauliString::identity(n));
-    for (symptom, cands) in candidates {
-        if symptom == 0 {
-            continue;
-        }
-        let correction = if cands.len() == 1 {
-            cands.into_iter().next().expect("one candidate")
-        } else {
-            PauliString::identity(n)
-        };
-        table.insert(symptom, correction);
-    }
     table
+}
+
+/// Who claims one symptom in [`first_order_table`]: a single cause (a
+/// one-site fault, or `None` for a measurement flip), or several.
+#[derive(Clone, Copy, PartialEq)]
+enum Claim {
+    Unique(Option<(usize, Pauli)>),
+    Ambiguous,
 }
 
 pub(crate) fn combine(a: f64, b: f64) -> f64 {

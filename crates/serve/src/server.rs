@@ -23,7 +23,10 @@
 //!
 //! ## Cancellation and shutdown
 //!
-//! While waiting for a result the handler polls its socket; a client that
+//! While waiting for a result the handler wakes as soon as the slot
+//! settles, and otherwise every poll interval to probe its socket with a
+//! non-blocking `peek` (the probe never waits, so a finished query is
+//! answered at once, not at the next interval). A client that
 //! disconnected drops its waiter registration, and when the last waiter of
 //! a slot is gone the slot's token fires and the sweep stops within one
 //! shard per worker. On shutdown the server stops accepting, lets
@@ -505,16 +508,24 @@ fn serve_compute(stream: &TcpStream, shared: &Shared, query: &Query) -> Option<V
 /// Non-destructive liveness probe: with the frame protocol strictly
 /// request/response per connection *per in-flight request*, readable data
 /// can only be a pipelined next request (alive) and `Ok(0)` is EOF.
+///
+/// The `peek` runs non-blocking, so the probe returns at once and the
+/// handler goes straight back to waiting on its slot; a socket whose mode
+/// cannot be switched counts as disconnected.
 fn client_disconnected(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
     let mut probe = [0u8; 1];
-    match stream.peek(&mut probe) {
+    let gone = match stream.peek(&mut probe) {
         Ok(0) => true,
         Ok(_) => false,
         Err(e) => !matches!(
             e.kind(),
             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
         ),
-    }
+    };
+    stream.set_nonblocking(false).is_err() || gone
 }
 
 fn executor_loop(shared: &Arc<Shared>) {

@@ -162,6 +162,23 @@ impl StabilizerCode {
             .collect()
     }
 
+    /// The packed syndrome of Pauli `p` on qubit `q` alone: bit `i` is set
+    /// when it anticommutes with stabilizer `i`. Syndromes are linear, so
+    /// an error's packed syndrome is the XOR of its sites' syndromes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the code has more than 64 stabilizer generators.
+    pub fn site_syndrome(&self, q: usize, p: Pauli) -> u64 {
+        assert!(self.stabilizers.len() <= 64, "syndrome must fit in 64 bits");
+        self.stabilizers
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (i, s)| {
+                acc | ((!s.get(q).commutes_with(p) as u64) << i)
+            })
+    }
+
     /// True when `error` has trivial syndrome (commutes with every
     /// stabilizer generator).
     pub fn in_normalizer(&self, error: &PauliString) -> bool {

@@ -2,13 +2,23 @@
 //!
 //! The UEC module (paper §4.2.2) evaluates codes of ≤ 30 qubits; for those,
 //! a table mapping each syndrome to its minimum-weight Pauli correction is
-//! both exact and fast. Tables are built breadth-first in error weight, so
-//! the first correction recorded for a syndrome is guaranteed minimal.
+//! both exact and fast. The table records, for every syndrome, the first
+//! correction in weight-then-lexicographic order of
+//! `(q₁, P₁, …, q_w, P_w)` (qubits ascending, `X < Y < Z`): the error of
+//! least weight, ties broken by that order.
+//!
+//! Building it uses syndrome linearity: an error's syndrome is the XOR of
+//! its single-site syndromes, so a depth-first walk over supports carries
+//! the syndrome incrementally and materialises a correction only when its
+//! syndrome is new (DESIGN.md §5l).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::codes::StabilizerCode;
 use crate::pauli::{Pauli, PauliString};
+
+const PAULIS: [Pauli; 3] = [Pauli::X, Pauli::Y, Pauli::Z];
 
 /// A minimum-weight lookup decoder for one [`StabilizerCode`].
 ///
@@ -33,7 +43,11 @@ use crate::pauli::{Pauli, PauliString};
 pub struct LookupDecoder {
     num_qubits: usize,
     num_stabilizers: usize,
-    table: HashMap<u64, PauliString>,
+    /// Syndrome → index of its correction in `corrections`.
+    table: HashMap<u64, u32>,
+    /// Corrections back to back, each as its x words then its z words
+    /// (`2 · ⌈n/64⌉` words per correction).
+    corrections: Vec<u64>,
     max_weight: usize,
 }
 
@@ -51,31 +65,29 @@ impl LookupDecoder {
         let n = code.num_qubits();
         let r = code.stabilizers().len();
         assert!(r < 64, "syndrome must fit in 64 bits");
-        let mut table: HashMap<u64, PauliString> = HashMap::new();
-        table.insert(0, PauliString::identity(n));
-        let mut frontier: Vec<PauliString> = vec![PauliString::identity(n)];
-        for _w in 1..=max_weight {
-            let mut next = Vec::new();
-            for base in &frontier {
-                // Extend support beyond the last touched qubit to enumerate
-                // each support set exactly once.
-                let start = base.iter_support().last().map(|(q, _)| q + 1).unwrap_or(0);
-                for q in start..n {
-                    for p in [Pauli::X, Pauli::Y, Pauli::Z] {
-                        let mut e = base.clone();
-                        e.set(q, p);
-                        let syn = syndrome_bits(code, &e);
-                        table.entry(syn).or_insert_with(|| e.clone());
-                        next.push(e);
-                    }
-                }
-            }
-            frontier = next;
+        // Syndrome of Pauli `PAULIS[k]` on qubit `q`, at index `3q + k`.
+        let site_syndromes: Vec<u64> = (0..n)
+            .flat_map(|q| PAULIS.map(|p| code.site_syndrome(q, p)))
+            .collect();
+        let words = n.div_ceil(64);
+        let mut builder = TableBuilder {
+            site_syndromes,
+            table: HashMap::new(),
+            corrections: Vec::new(),
+            x: vec![0; words],
+            z: vec![0; words],
+        };
+        builder.record(0);
+        // One depth-first pass per weight keeps every lighter error ahead
+        // of every heavier one, as a breadth-first frontier would.
+        for w in 1..=max_weight.min(n) {
+            builder.extend(0, w, 0);
         }
         LookupDecoder {
             num_qubits: n,
             num_stabilizers: r,
-            table,
+            table: builder.table,
+            corrections: builder.corrections,
             max_weight,
         }
     }
@@ -118,20 +130,66 @@ impl LookupDecoder {
     /// extraction discipline of the union-find batch path (DESIGN.md §5k).
     #[inline]
     pub fn decode_bits(&self, bits: u64) -> PauliString {
-        self.table
-            .get(&bits)
-            .cloned()
-            .unwrap_or_else(|| PauliString::identity(self.num_qubits))
+        match self.table.get(&bits) {
+            Some(&index) => {
+                let words = self.num_qubits.div_ceil(64);
+                let start = index as usize * 2 * words;
+                let (x, z) = self.corrections[start..start + 2 * words].split_at(words);
+                PauliString::from_words(self.num_qubits, x, z)
+            }
+            None => PauliString::identity(self.num_qubits),
+        }
     }
 }
 
-fn syndrome_bits(code: &StabilizerCode, error: &PauliString) -> u64 {
-    code.stabilizers()
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, s)| {
-            acc | ((!s.commutes_with(error) as u64) << i)
-        })
+/// State of the depth-first table build: the error under construction as
+/// x/z words, and the table and correction arena it fills.
+struct TableBuilder {
+    site_syndromes: Vec<u64>,
+    table: HashMap<u64, u32>,
+    corrections: Vec<u64>,
+    x: Vec<u64>,
+    z: Vec<u64>,
+}
+
+impl TableBuilder {
+    /// Visits, in lexicographic order, every extension of the current
+    /// error (syndrome `syndrome`) by `depth` more sites on qubits
+    /// `≥ start`, recording each completed error whose syndrome is new.
+    fn extend(&mut self, start: usize, depth: usize, syndrome: u64) {
+        let n = self.site_syndromes.len() / 3;
+        for q in start..=n - depth {
+            let (w, bit) = (q / 64, 1u64 << (q % 64));
+            for (k, p) in PAULIS.into_iter().enumerate() {
+                let syn = syndrome ^ self.site_syndromes[3 * q + k];
+                let (px, pz) = p.xz();
+                if px {
+                    self.x[w] |= bit;
+                }
+                if pz {
+                    self.z[w] |= bit;
+                }
+                if depth == 1 {
+                    self.record(syn);
+                } else {
+                    self.extend(q + 1, depth - 1, syn);
+                }
+                self.x[w] &= !bit;
+                self.z[w] &= !bit;
+            }
+        }
+    }
+
+    /// Stores the current error as the correction of `syndrome` unless an
+    /// earlier error already claimed it.
+    fn record(&mut self, syndrome: u64) {
+        let index = self.table.len() as u32;
+        if let Entry::Vacant(slot) = self.table.entry(syndrome) {
+            slot.insert(index);
+            self.corrections.extend_from_slice(&self.x);
+            self.corrections.extend_from_slice(&self.z);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -137,6 +137,18 @@ impl PauliString {
         s
     }
 
+    /// Builds a positive string from its packed x and z words (qubit `q`
+    /// in bit `q % 64` of word `q / 64`).
+    pub(crate) fn from_words(n: usize, x: &[u64], z: &[u64]) -> Self {
+        debug_assert!(x.len() == n.div_ceil(64) && z.len() == x.len());
+        PauliString {
+            n,
+            x: x.to_vec(),
+            z: z.to_vec(),
+            neg: false,
+        }
+    }
+
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.n

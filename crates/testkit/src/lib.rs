@@ -28,6 +28,9 @@
 //!   `GOLDEN_UPDATE=1` regeneration workflow.
 //! * [`decoder`] — a decoder differential harness checking the
 //!   approximate matching decoders against the exhaustive lookup decoder.
+//! * [`uec_oracle`] — the direct reference builders of the UEC module's
+//!   lookup table, fault table and register assignment, against which the
+//!   production builders are differentially tested.
 //!
 //! # Example
 //!
@@ -55,6 +58,7 @@ pub mod decoder;
 pub mod golden;
 pub mod oracle;
 pub mod stats;
+pub mod uec_oracle;
 
 pub use stats::BinomialTest;
 

@@ -234,6 +234,34 @@ fn connections_pipeline_distinct_queries() {
     server.shutdown();
 }
 
+/// A finished query is answered as soon as it settles, not at the next
+/// liveness-probe boundary: the handler's socket probe must not block for
+/// the poll interval (50 ms), which would answer a 60 ms query at ~100 ms.
+/// Best of three attempts, each on a fresh server so the result cache
+/// cannot answer it.
+#[test]
+fn finished_queries_are_answered_without_poll_quantization() {
+    let _guard = serialized();
+    obs_fresh();
+    let best = (0..3)
+        .map(|_| {
+            let server = start(ServerConfig::default());
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            let sent = Instant::now();
+            let reply = client.request_json(&block_request(60)).expect("reply");
+            let latency = sent.elapsed();
+            assert_eq!(reply.get("status").and_then(Json::as_str), Some("ok"));
+            server.shutdown();
+            latency
+        })
+        .min()
+        .expect("three attempts");
+    assert!(
+        best < Duration::from_millis(90),
+        "a 60 ms query took {best:?} at best"
+    );
+}
+
 /// A `shutdown` query drains the server: in-flight work completes, the
 /// wait() call returns, and the listener goes away.
 #[test]
