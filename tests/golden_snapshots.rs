@@ -158,11 +158,17 @@ fn rare_report_snapshot(pool: &WorkerPool) -> Snapshot {
         config,
         41,
     );
+    let mut s = Snapshot::new("d=5 rare-event report: stratified estimator, seed 41");
+    rare_sections(&mut s, "", outcome);
+    s
+}
+
+/// Renders a rare-event outcome: headline estimate and error budget under
+/// `[{prefix}report]`, then one `[{prefix}stratum w=…]` section per stratum.
+fn rare_sections(s: &mut Snapshot, prefix: &str, outcome: RareOutcome) {
     let converged = outcome.is_converged();
     let report = outcome.into_report();
-
-    let mut s = Snapshot::new("d=5 rare-event report: stratified estimator, seed 41");
-    s.section("report");
+    s.section(&format!("{prefix}report"));
     s.f64("p_l", report.p_l)
         .f64("sigma", report.sigma)
         .f64("truncation_bound", report.truncation_bound)
@@ -170,12 +176,74 @@ fn rare_report_snapshot(pool: &WorkerPool) -> Snapshot {
         .field("num_sites", report.num_sites)
         .field("converged", converged);
     for stratum in &report.strata {
-        s.section(&format!("stratum w={}", stratum.weight));
+        s.section(&format!("{prefix}stratum w={}", stratum.weight));
         s.f64("prior", stratum.prior)
             .f64("failure_rate", stratum.failure_rate)
             .field("shots", stratum.shots)
             .field("failures", stratum.failures)
             .field("enumerated", stratum.enumerated);
+    }
+}
+
+/// Rates of the three UEC-family Monte-Carlo modules that no other golden
+/// pins: homogeneous-baseline plain rates and one rare report, chained-UEC
+/// plain rates, and single-USC UEC rare reports, computed on `pool`.
+fn module_rate_snapshot(pool: &WorkerPool) -> Snapshot {
+    use hetarch::modules::uec::ChainUecModule;
+    use hetarch::stab::codes::reed_muller_15;
+
+    let shots = 2_000;
+    let seed = 61;
+    let rare = RareConfig {
+        max_strata: 4,
+        rel_tol: 0.5,
+        shots_per_stratum: 1_024,
+        enumerate_threshold: 512,
+        ..RareConfig::default()
+    };
+    let usc = UscCell::new(
+        catalog::coherence_limited_compute(0.5e-3),
+        catalog::coherence_limited_storage(5e-3),
+    )
+    .unwrap()
+    .characterize();
+    let noise = UecNoise::default();
+    let mut s = Snapshot::new(
+        "UEC-family module rates: homogeneous baseline (tc=0.5ms), chained UEC and \
+         single-USC UEC (ts=5ms); plain 2000 shots seed 61, rare reports seed 23 \
+         (4 strata, 1024 shots per sampled stratum, enumeration up to 512 configs)",
+    );
+    for code in [steane(), rotated_surface_code(3), reed_muller_15()] {
+        let r =
+            HomModule::new(code.clone(), 0.5e-3, noise).logical_error_rate_on(pool, shots, seed);
+        s.section(&format!("hom {}", code.name()));
+        s.f64("logical_error_rate", r.logical_error_rate)
+            .f64("cycle_duration", r.cycle_duration)
+            .field("swaps_per_cycle", r.swaps_per_cycle);
+    }
+    let hom = HomModule::new(steane(), 0.5e-3, noise);
+    rare_sections(
+        &mut s,
+        "hom Steane rare ",
+        hom.logical_error_rate_rare_on(pool, rare, 23),
+    );
+    // SC6 (36 qubits) is the one case that spans two chain segments.
+    for (code, n_ext) in [(steane(), 1), (steane(), 2), (rotated_surface_code(6), 1)] {
+        let name = code.name().to_string();
+        let r = ChainUecModule::new(code, usc.clone(), n_ext, noise)
+            .logical_error_rate_on(pool, shots, seed);
+        s.section(&format!("chain {name} n_ext={n_ext}"));
+        s.f64("logical_error_rate", r.logical_error_rate)
+            .f64("cycle_duration", r.cycle_duration)
+            .field("shots", r.shots);
+    }
+    for code in [steane(), rotated_surface_code(3)] {
+        let uec = UecModule::new(code.clone(), usc.clone(), noise);
+        rare_sections(
+            &mut s,
+            &format!("uec {} rare ", code.name()),
+            uec.logical_error_rate_rare_on(pool, rare, 23),
+        );
     }
     s
 }
@@ -256,6 +324,18 @@ fn rare_report_golden_is_worker_count_invariant() {
         "rare-event report must not depend on the worker count"
     );
     assert_golden(&golden_dir(), "rare_report_d5", &single);
+}
+
+#[test]
+fn module_rate_goldens_are_worker_count_invariant() {
+    let single = module_rate_snapshot(&WorkerPool::new(1));
+    let eight = module_rate_snapshot(&WorkerPool::new(8));
+    assert_eq!(
+        single.render(),
+        eight.render(),
+        "module rates and rare reports must not depend on the worker count"
+    );
+    assert_golden(&golden_dir(), "module_rates", &single);
 }
 
 #[test]
