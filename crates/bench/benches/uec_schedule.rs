@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hetarch::modules::uec::sim::first_order_table;
-use hetarch::modules::uec::{build_schedule, search_assignment};
+use hetarch::modules::uec::{build_schedule, search_assignment, ChainUecModule};
 use hetarch::prelude::*;
 
 fn usc() -> UscChannel {
@@ -73,20 +73,47 @@ fn bench_monte_carlo(c: &mut Criterion) {
     let noise = UecNoise::default();
     let shots = 2_000;
     group.throughput(Throughput::Elements(shots as u64));
-    for code in [steane(), color_17(), reed_muller_15()] {
-        let module = UecModule::new(code.clone(), ch.clone(), noise);
-        group.bench_with_input(
-            BenchmarkId::new("cycles", code.name()),
-            &shots,
-            |b, &shots| {
-                let mut seed = 0;
-                b.iter(|| {
-                    seed += 1;
-                    module.logical_error_rate(shots, seed)
-                });
-            },
-        );
+    // `sc5` is the served design-space hot case.
+    for (name, code) in [
+        ("Steane", steane()),
+        ("17QCC", color_17()),
+        ("RM15", reed_muller_15()),
+        ("sc5", rotated_surface_code(5)),
+    ] {
+        let module = UecModule::new(code, ch.clone(), noise);
+        group.bench_with_input(BenchmarkId::new("cycles", name), &shots, |b, &shots| {
+            let mut seed = 0;
+            b.iter(|| {
+                seed += 1;
+                module.logical_error_rate(shots, seed)
+            });
+        });
     }
+    // The other two modules that run the same compiled cycle interpreter.
+    let hom = HomModule::new(steane(), 0.5e-3, noise);
+    group.bench_with_input(
+        BenchmarkId::new("hom_cycles", "steane"),
+        &shots,
+        |b, &shots| {
+            let mut seed = 0;
+            b.iter(|| {
+                seed += 1;
+                hom.logical_error_rate(shots, seed)
+            });
+        },
+    );
+    let chain = ChainUecModule::new(steane(), ch.clone(), 1, noise);
+    group.bench_with_input(
+        BenchmarkId::new("chain_cycles", "steane"),
+        &shots,
+        |b, &shots| {
+            let mut seed = 0;
+            b.iter(|| {
+                seed += 1;
+                chain.logical_error_rate(shots, seed)
+            });
+        },
+    );
     group.finish();
 }
 

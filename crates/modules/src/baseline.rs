@@ -12,19 +12,14 @@
 use hetarch_exec::rare::{RareConfig, RareOutcome};
 use hetarch_exec::{CancelToken, Cancelled, WorkerPool};
 use hetarch_obs as obs;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use hetarch_qsim::channels::{IdleParams, PauliProbs};
+use hetarch_qsim::channels::IdleParams;
 use hetarch_stab::codes::StabilizerCode;
 use hetarch_stab::decoder::LookupDecoder;
-use hetarch_stab::pauli::PauliString;
 
-use crate::faults::{stratified_rate, FaultDriver, RecordFaults, RngFaults};
-use crate::uec::sim::{combine, first_order_table, pack_syndrome, UecNoise};
-
-use std::collections::HashMap;
+use crate::program::{CycleProgram, ProgramBuilder};
+use crate::uec::sim::{combine, depolarizing, first_order_words, UecNoise};
 
 // Homogeneous-baseline Monte-Carlo metrics (no-ops unless the `obs` feature
 // is on and `HETARCH_OBS=1`).
@@ -144,16 +139,15 @@ pub fn layer_checks(code: &StabilizerCode) -> Vec<Vec<usize>> {
 /// lattice with routing overhead.
 #[derive(Clone, Debug)]
 pub struct HomModule {
-    code: StabilizerCode,
-    noise: UecNoise,
-    idle: IdleParams,
     embedding: Embedding,
     layers: Vec<Vec<usize>>,
-    decoder: LookupDecoder,
-    fault_table: HashMap<u64, PauliString>,
-    t_2q: f64,
-    t_meas: f64,
+    program: CycleProgram,
 }
+
+/// Two-qubit gate time of the homogeneous lattice.
+const T_2Q: f64 = 100e-9;
+/// Readout time of the homogeneous lattice.
+const T_MEAS: f64 = 1e-6;
 
 /// Result of a homogeneous baseline run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -174,17 +168,13 @@ impl HomModule {
         let layers = layer_checks(&code);
         let weight_cap = (code.distance().div_ceil(2)).clamp(1, 3);
         let decoder = LookupDecoder::new(&code, weight_cap);
-        let fault_table = first_order_table(&code, &layers);
+        let fault_table = first_order_words(&code, &layers);
+        let idle = IdleParams::new(tc, tc).expect("physical coherence");
+        let program = compile(&code, noise, idle, &embedding, &layers).finish(decoder, fault_table);
         HomModule {
-            code,
-            noise,
-            idle: IdleParams::new(tc, tc).expect("physical coherence"),
             embedding,
             layers,
-            decoder,
-            fault_table,
-            t_2q: 100e-9,
-            t_meas: 1e-6,
+            program,
         }
     }
 
@@ -193,28 +183,12 @@ impl HomModule {
         &self.embedding
     }
 
-    /// Duration of one extraction layer: routing CX-chains (2 extra CXs per
-    /// lattice hop — parity is collected along a path and uncomputed, the
-    /// cheapest pattern the transpiler finds), the check CXs, and the
-    /// readout.
-    fn layer_duration(&self, layer: &[usize]) -> f64 {
-        let mut worst: f64 = 0.0;
-        for &s in layer {
-            let w = self.embedding.route_swaps[s].len();
-            let max_hops = self.embedding.route_swaps[s]
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0);
-            let d = (w as f64 + 2.0 * max_hops as f64) * self.t_2q + self.t_meas;
-            worst = worst.max(d);
-        }
-        worst
-    }
-
     /// Total cycle duration.
     pub fn cycle_duration(&self) -> f64 {
-        self.layers.iter().map(|l| self.layer_duration(l)).sum()
+        self.layers
+            .iter()
+            .map(|l| layer_duration(&self.embedding, l))
+            .sum()
     }
 
     /// Runs `shots` Monte-Carlo cycles.
@@ -228,33 +202,9 @@ impl HomModule {
 
     /// As [`Self::logical_error_rate`] with an explicit worker pool.
     pub fn logical_error_rate_on(&self, pool: &WorkerPool, shots: usize, seed: u64) -> HomResult {
-        let plan = self.layer_noise();
-        let cycle_duration = self.cycle_duration();
-        let span = obs::span!(HOM_RUN_NS);
-        let failures = pool.fold_shards(
-            shots,
-            crate::uec::sim::MC_SHARD_SHOTS,
-            seed,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len)
-                    .filter(|_| self.run_shot(&plan, &mut RngFaults::new(&mut rng)))
-                    .count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        );
-        drop(span);
-        HOM_SHOTS.add(shots as u64);
-        HOM_FAILURES.add(failures as u64);
-        HomResult {
-            logical_error_rate: if shots == 0 {
-                0.0
-            } else {
-                failures as f64 / shots as f64
-            },
-            cycle_duration,
-            swaps_per_cycle: self.embedding.total_swaps(),
+        match self.run(pool, shots, seed, None) {
+            Ok(result) => result,
+            Err(Cancelled) => unreachable!("no token, no cancellation"),
         }
     }
 
@@ -269,23 +219,18 @@ impl HomModule {
         seed: u64,
         token: &CancelToken,
     ) -> Result<HomResult, Cancelled> {
-        let plan = self.layer_noise();
-        let cycle_duration = self.cycle_duration();
+        self.run(pool, shots, seed, Some(token))
+    }
+
+    fn run(
+        &self,
+        pool: &WorkerPool,
+        shots: usize,
+        seed: u64,
+        token: Option<&CancelToken>,
+    ) -> Result<HomResult, Cancelled> {
         let span = obs::span!(HOM_RUN_NS);
-        let failures = pool.try_fold_shards(
-            shots,
-            crate::uec::sim::MC_SHARD_SHOTS,
-            seed,
-            token,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len)
-                    .filter(|_| self.run_shot(&plan, &mut RngFaults::new(&mut rng)))
-                    .count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        )?;
+        let failures = self.program.count_failures(pool, shots, seed, token)?;
         drop(span);
         HOM_SHOTS.add(shots as u64);
         HOM_FAILURES.add(failures as u64);
@@ -295,7 +240,7 @@ impl HomModule {
             } else {
                 failures as f64 / shots as f64
             },
-            cycle_duration,
+            cycle_duration: self.cycle_duration(),
             swaps_per_cycle: self.embedding.total_swaps(),
         })
     }
@@ -315,114 +260,70 @@ impl HomModule {
         config: RareConfig,
         seed: u64,
     ) -> RareOutcome {
-        let plan = self.layer_noise();
-        let mut recorder = RecordFaults::new();
-        self.run_shot(&plan, &mut recorder);
-        let sites = recorder.into_sites();
         let span = obs::span!(HOM_RUN_NS);
-        let outcome = stratified_rate(
-            pool,
-            &sites,
-            config,
-            seed,
-            crate::uec::sim::MC_SHARD_SHOTS,
-            |driver| self.run_shot(&plan, driver),
-        );
+        let outcome = match self.program.rare_rate(pool, config, seed, None) {
+            Ok(outcome) => outcome,
+            Err(Cancelled) => unreachable!("no token, no cancellation"),
+        };
         drop(span);
         HOM_SHOTS.add(outcome.report().total_shots as u64);
         outcome
     }
-
-    /// Per-layer noise precomputation.
-    fn layer_noise(&self) -> ShotPlan {
-        ShotPlan {
-            layers: self
-                .layers
-                .iter()
-                .map(|layer| LayerNoise {
-                    idle: self.idle.twirl_probs(self.layer_duration(layer)),
-                    checks: layer.clone(),
-                })
-                .collect(),
-            supports: self
-                .code
-                .stabilizers()
-                .iter()
-                .map(|s| s.iter_support().map(|(q, _)| q).collect())
-                .collect(),
-        }
-    }
-
-    /// One QEC cycle against an arbitrary [`FaultDriver`]; the site-visit
-    /// order is static, exactly as in [`crate::uec::UecModule`].
-    fn run_shot<D: FaultDriver>(&self, plan: &ShotPlan, driver: &mut D) -> bool {
-        let n = self.code.num_qubits();
-        let stabs = self.code.stabilizers();
-        let mut error = PauliString::identity(n);
-        let mut syndrome = 0u64;
-        for layer in &plan.layers {
-            for q in 0..n {
-                driver.pauli_site(&mut error, q, layer.idle);
-            }
-            for &s in &layer.checks {
-                // Per-qubit gate noise: the CX plus the routing chain
-                // (2 extra CXs per lattice hop).
-                let support = &plan.supports[s];
-                for (&q, &swaps) in support.iter().zip(&self.embedding.route_swaps[s]) {
-                    let p_cx = self.noise.p2q * 4.0 / 15.0;
-                    let n_gates = 1 + 2 * swaps;
-                    let p = 1.0 - (1.0 - 3.0 * p_cx).powi(n_gates as i32);
-                    let third = p / 3.0;
-                    driver.pauli_site(
-                        &mut error,
-                        q,
-                        PauliProbs {
-                            px: third,
-                            py: third,
-                            pz: third,
-                        },
-                    );
-                }
-                // Ancilla flip: its CXs plus idle plus readout.
-                let w = support.len();
-                let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * self.noise.p2q).powi(w as i32);
-                let anc_idle = layer.idle;
-                let p_flip = combine(
-                    combine(p_gate_anc, anc_idle.px + anc_idle.py),
-                    self.noise.meas_flip,
-                );
-                let mut bit = !stabs[s].commutes_with(&error);
-                if driver.flip_site(p_flip) {
-                    bit = !bit;
-                }
-                if bit {
-                    syndrome |= 1 << s;
-                }
-            }
-        }
-        let correction = self
-            .fault_table
-            .get(&syndrome)
-            .cloned()
-            .unwrap_or_else(|| self.decoder.decode_bits(syndrome));
-        let residual = error.xor(&correction);
-        let true_syn = pack_syndrome(&self.code.syndrome_of(&residual));
-        let final_error = residual.xor(&self.decoder.decode_bits(true_syn));
-        !self.code.in_normalizer(&final_error) || self.code.is_logical_error(&final_error)
-    }
 }
 
-/// Per-layer noise table of the homogeneous baseline.
-struct LayerNoise {
-    idle: PauliProbs,
-    checks: Vec<usize>,
+/// Duration of one extraction layer: routing CX-chains (2 extra CXs per
+/// lattice hop — parity is collected along a path and uncomputed, the
+/// cheapest pattern the transpiler finds), the check CXs, and the readout.
+fn layer_duration(embedding: &Embedding, layer: &[usize]) -> f64 {
+    let mut worst: f64 = 0.0;
+    for &s in layer {
+        let w = embedding.route_swaps[s].len();
+        let max_hops = embedding.route_swaps[s].iter().copied().max().unwrap_or(0);
+        let d = (w as f64 + 2.0 * max_hops as f64) * T_2Q + T_MEAS;
+        worst = worst.max(d);
+    }
+    worst
 }
 
-/// Precomputed per-cycle tables shared by every shot.
-struct ShotPlan {
-    layers: Vec<LayerNoise>,
-    /// Support qubits of each stabilizer.
-    supports: Vec<Vec<usize>>,
+/// Lists one homogeneous cycle's fault sites, in the order a shot visits
+/// them: per layer, every data qubit's idle over the layer, then per check
+/// each support qubit's gate noise (the CX plus its routing chain, 2 extra
+/// CXs per lattice hop) and the check's readout.
+fn compile(
+    code: &StabilizerCode,
+    noise: UecNoise,
+    idle: IdleParams,
+    embedding: &Embedding,
+    layers: &[Vec<usize>],
+) -> ProgramBuilder {
+    let n = code.num_qubits();
+    let mut program = ProgramBuilder::new(code);
+    let p_cx = noise.p2q * 4.0 / 15.0;
+    for layer in layers {
+        let layer_idle = idle.twirl_probs(layer_duration(embedding, layer));
+        for q in 0..n {
+            program.pauli(q, layer_idle);
+        }
+        for &s in layer {
+            let support: Vec<usize> = code.stabilizers()[s]
+                .iter_support()
+                .map(|(q, _)| q)
+                .collect();
+            for (&q, &swaps) in support.iter().zip(&embedding.route_swaps[s]) {
+                let n_gates = 1 + 2 * swaps;
+                let p = 1.0 - (1.0 - 3.0 * p_cx).powi(n_gates as i32);
+                program.pauli(q, depolarizing(p / 3.0));
+            }
+            // Ancilla flip: its CXs plus idle plus readout.
+            let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(support.len() as i32);
+            let p_flip = combine(
+                combine(p_gate_anc, layer_idle.px + layer_idle.py),
+                noise.meas_flip,
+            );
+            program.readout(s, p_flip);
+        }
+    }
+    program
 }
 
 /// The homogeneous baseline for surface codes: the known-optimal square

@@ -1,23 +1,21 @@
-//! Fault-site drivers: the seam between the module Monte-Carlo shot bodies
-//! and the rare-event estimator.
+//! Fault-site drivers: the seam between a module's compiled cycle and the
+//! estimators that run it.
 //!
-//! The UEC and baseline simulators visit their fault sites in a **static
-//! order** — the sequence of [`FaultDriver`] calls a shot makes never
-//! depends on sampled outcomes. That property turns one shot body into
-//! three estimators:
+//! The UEC-family modules visit their fault sites in a **static order** —
+//! the sequence of [`FaultDriver`] calls a shot makes never depends on
+//! sampled outcomes. Each module compiles that order once into a cycle
+//! program (DESIGN.md §5m) whose site table feeds the rare-event prior, and
+//! whose one interpreter serves two drivers:
 //!
-//! * [`RngFaults`] draws every site from an RNG — the legacy Monte-Carlo
-//!   path, consuming the exact same variate stream as the original inlined
-//!   sampling (one `f64` per Pauli site with positive total probability,
-//!   one per ancilla-flip site unconditionally), so pre-existing seeds and
-//!   goldens are preserved bit for bit.
-//! * [`RecordFaults`] applies nothing and writes down each site's trigger
-//!   probability — one "dry" shot yields the full site table from which the
-//!   Poisson-binomial weight prior is built.
+//! * [`RngFaults`] draws every site from an RNG — the plain Monte-Carlo
+//!   path, consuming the exact same variate stream as the original
+//!   floating-point sampling (one draw per Pauli site with positive total
+//!   probability, one per classical-flip site unconditionally), so
+//!   pre-existing seeds and goldens are preserved bit for bit.
 //! * [`ForcedFaults`] replays a fixed weight-`w` fault configuration — the
 //!   conditioned shots of the stratified estimator.
 //!
-//! [`stratified_rate`] wires the three together under
+//! [`stratified_rate`] wires a site table and a shot body under
 //! [`hetarch_exec::rare::StratifiedEstimator`].
 
 use hetarch_exec::rare::{
@@ -29,45 +27,124 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hetarch_qsim::channels::PauliProbs;
-use hetarch_stab::pauli::{Pauli, PauliString};
+use hetarch_stab::pauli::Pauli;
 
-use crate::uec::sim::sample_pauli_into;
+/// `2⁵³`: a uniform `f64` draw is `k · 2⁻⁵³` for the 53-bit integer
+/// `k = next_u64() >> 11`.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+/// The exact integer threshold of probability `p`: `t(p) = ⌈p · 2⁵³⌉`,
+/// clamped to `[0, u64::MAX]`.
+///
+/// For every 53-bit `k`, `k < t(p)` holds exactly when `k · 2⁻⁵³ < p`:
+/// both `k · 2⁻⁵³` and `p · 2⁵³` are exact (scaling by a power of two), and
+/// an integer is below a real exactly when it is below the real's ceiling.
+/// Negative `p` gives 0 (never fires); `p ≥ 1` gives at least `2⁵³`
+/// (always fires).
+pub(crate) fn threshold(p: f64) -> u64 {
+    // `as` saturates: negative ceilings become 0, huge ones u64::MAX.
+    (p * TWO_POW_53).ceil() as u64
+}
+
+/// One Pauli fault site of a compiled cycle: a data qubit and the exact
+/// integer thresholds of its channel (see [`threshold`]'s contract).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PauliSite {
+    bit: u64,
+    x: u64,
+    xy: u64,
+    total: u64,
+}
+
+impl PauliSite {
+    /// The site on qubit `q` with per-Pauli probabilities `probs`. The
+    /// thresholds are those of `px`, `px + py` and `px + py + pz`, summed
+    /// in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q ≥ 64` or a probability is not finite (a NaN would
+    /// fail every comparison and so deposit a Z on every draw).
+    pub fn new(q: usize, probs: PauliProbs) -> Self {
+        assert!(q < 64, "qubit {q} does not fit a 64-bit error word");
+        assert!(
+            probs.px.is_finite() && probs.py.is_finite() && probs.pz.is_finite(),
+            "Pauli probabilities {probs:?} are not finite"
+        );
+        PauliSite {
+            bit: 1 << q,
+            x: threshold(probs.px),
+            xy: threshold(probs.px + probs.py),
+            total: threshold(probs.total()),
+        }
+    }
+
+    /// The qubit's bit in an error word.
+    #[inline]
+    pub(crate) fn bit(&self) -> u64 {
+        self.bit
+    }
+}
 
 /// One shot's source of fault decisions.
 ///
-/// A shot body calls [`FaultDriver::pauli_site`] once per potential Pauli
-/// fault location and [`FaultDriver::flip_site`] once per potential
+/// A compiled cycle calls [`FaultDriver::pauli_site`] once per potential
+/// Pauli fault location and [`FaultDriver::flip_site`] once per potential
 /// classical-flip location, always in the same order.
 pub trait FaultDriver {
-    /// Visits a Pauli fault site on qubit `q` with per-Pauli trigger
-    /// probabilities `probs`; the driver may XOR a Pauli into `error`.
-    fn pauli_site(&mut self, error: &mut PauliString, q: usize, probs: PauliProbs);
+    /// Visits a Pauli fault site; returns the Pauli it deposits on the
+    /// site's qubit ([`Pauli::I`] when it does not fire).
+    fn pauli_site(&mut self, site: &PauliSite) -> Pauli;
 
     /// Visits a classical bit-flip site of probability `p`; returns whether
     /// the flip fires.
     fn flip_site(&mut self, p: f64) -> bool;
 }
 
-/// The legacy Monte-Carlo driver: sample every site from `rng`.
+/// The plain Monte-Carlo driver: sample every site from `rng`.
 ///
-/// Stream contract (matches the historical inlined code exactly): a Pauli
-/// site consumes one variate iff its total probability is positive — the
-/// same draw decides both whether the site triggers and which Pauli it
-/// deposits — and a flip site always consumes exactly one variate.
-pub struct RngFaults<'a, R: Rng + ?Sized> {
-    rng: &'a mut R,
+/// Stream contract (matches the historical floating-point sampling
+/// exactly): a Pauli site consumes one draw iff its total probability is
+/// positive — the same draw `k` decides both whether the site fires
+/// (`k < t(total)`) and which Pauli it deposits (X below `t(px)`, Y below
+/// `t(px + py)`, Z otherwise) — and a flip site always consumes exactly one
+/// draw.
+///
+/// The driver owns its generator, so a compiled cycle's site loop can keep
+/// the generator state in registers instead of reloading it through a
+/// reference on every draw.
+pub struct RngFaults<R: Rng> {
+    rng: R,
 }
 
-impl<'a, R: Rng + ?Sized> RngFaults<'a, R> {
-    /// Wraps an RNG.
-    pub fn new(rng: &'a mut R) -> Self {
+impl<R: Rng> RngFaults<R> {
+    /// Takes ownership of an RNG.
+    pub fn new(rng: R) -> Self {
         RngFaults { rng }
+    }
+
+    /// Returns the RNG, advanced past every draw made so far.
+    pub fn into_inner(self) -> R {
+        self.rng
     }
 }
 
-impl<R: Rng + ?Sized> FaultDriver for RngFaults<'_, R> {
-    fn pauli_site(&mut self, error: &mut PauliString, q: usize, probs: PauliProbs) {
-        sample_pauli_into(error, q, probs, self.rng);
+impl<R: Rng> FaultDriver for RngFaults<R> {
+    #[inline]
+    fn pauli_site(&mut self, site: &PauliSite) -> Pauli {
+        if site.total == 0 {
+            return Pauli::I;
+        }
+        let k = self.rng.next_u64() >> 11;
+        if k >= site.total {
+            Pauli::I
+        } else if k < site.x {
+            Pauli::X
+        } else if k < site.xy {
+            Pauli::Y
+        } else {
+            Pauli::Z
+        }
     }
 
     fn flip_site(&mut self, p: f64) -> bool {
@@ -134,36 +211,6 @@ impl SiteProbs {
     }
 }
 
-/// A dry-run driver that records each visited site's probabilities without
-/// injecting any fault.
-#[derive(Clone, Debug, Default)]
-pub struct RecordFaults {
-    sites: Vec<SiteProbs>,
-}
-
-impl RecordFaults {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        RecordFaults::default()
-    }
-
-    /// The recorded site table, in visit order.
-    pub fn into_sites(self) -> Vec<SiteProbs> {
-        self.sites
-    }
-}
-
-impl FaultDriver for RecordFaults {
-    fn pauli_site(&mut self, _error: &mut PauliString, _q: usize, probs: PauliProbs) {
-        self.sites.push(SiteProbs::Pauli(probs));
-    }
-
-    fn flip_site(&mut self, p: f64) -> bool {
-        self.sites.push(SiteProbs::Flip(p));
-        false
-    }
-}
-
 /// A driver that replays a fixed fault configuration: site `i` fires with
 /// its assigned variant; every other site stays idle.
 #[derive(Clone, Debug)]
@@ -207,16 +254,12 @@ impl ForcedFaults {
 }
 
 impl FaultDriver for ForcedFaults {
-    fn pauli_site(&mut self, error: &mut PauliString, q: usize, _probs: PauliProbs) {
-        if let Some(v) = self.next() {
-            let p = match v {
-                0 => Pauli::X,
-                1 => Pauli::Y,
-                _ => Pauli::Z,
-            };
-            let (cx, cz) = error.get(q).xz();
-            let (nx, nz) = p.xz();
-            error.set(q, Pauli::from_xz(cx ^ nx, cz ^ nz));
+    fn pauli_site(&mut self, _site: &PauliSite) -> Pauli {
+        match self.next() {
+            None => Pauli::I,
+            Some(0) => Pauli::X,
+            Some(1) => Pauli::Y,
+            Some(_) => Pauli::Z,
         }
     }
 
@@ -246,40 +289,17 @@ pub fn stratified_rate<F>(
 where
     F: Fn(&mut ForcedFaults) -> bool + Sync,
 {
-    match stratified_rate_inner(pool, sites, config, seed, shard_shots, None, run_shot) {
+    match try_stratified_rate(pool, sites, config, seed, shard_shots, None, run_shot) {
         Ok(outcome) => outcome,
         Err(Cancelled) => unreachable!("no token, no cancellation"),
     }
 }
 
-/// As [`stratified_rate`] with a cooperative [`CancelToken`]: the token is
-/// checked between shards of each sampled stratum and periodically inside
-/// enumerated strata, so cancelling a deep-subthreshold estimate releases
-/// the pool promptly instead of finishing every stratum.
-pub fn try_stratified_rate<F>(
-    pool: &WorkerPool,
-    sites: &[SiteProbs],
-    config: RareConfig,
-    seed: u64,
-    shard_shots: usize,
-    token: &CancelToken,
-    run_shot: F,
-) -> Result<RareOutcome, Cancelled>
-where
-    F: Fn(&mut ForcedFaults) -> bool + Sync,
-{
-    stratified_rate_inner(
-        pool,
-        sites,
-        config,
-        seed,
-        shard_shots,
-        Some(token),
-        run_shot,
-    )
-}
-
-fn stratified_rate_inner<F>(
+/// As [`stratified_rate`], optionally with a cooperative [`CancelToken`]:
+/// the token is checked between shards of each sampled stratum and
+/// periodically inside enumerated strata, so cancelling a deep-subthreshold
+/// estimate releases the pool promptly instead of finishing every stratum.
+pub(crate) fn try_stratified_rate<F>(
     pool: &WorkerPool,
     sites: &[SiteProbs],
     config: RareConfig,
@@ -399,8 +419,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn probs(px: f64, py: f64, pz: f64) -> PauliProbs {
         PauliProbs { px, py, pz }
@@ -410,51 +428,94 @@ mod tests {
     /// "failure" = final error anticommutes with Z (i.e. has X support) or
     /// the flip fired.
     fn toy_shot(driver: &mut impl FaultDriver) -> bool {
-        let mut error = PauliString::identity(1);
-        driver.pauli_site(&mut error, 0, probs(0.01, 0.0, 0.0));
-        driver.pauli_site(&mut error, 0, probs(0.02, 0.0, 0.005));
-        driver.pauli_site(&mut error, 0, probs(0.0, 0.0, 0.0));
+        let mut x = false;
+        for p in [
+            probs(0.01, 0.0, 0.0),
+            probs(0.02, 0.0, 0.005),
+            probs(0.0, 0.0, 0.0),
+        ] {
+            x ^= driver.pauli_site(&PauliSite::new(0, p)).xz().0;
+        }
         let flipped = driver.flip_site(0.03);
-        let (x, _) = error.get(0).xz();
         x || flipped
     }
 
-    #[test]
-    fn rng_driver_matches_inlined_sampling() {
-        // Same seed through the driver and through the historical inlined
-        // code must produce identical outcomes.
-        let mut a = StdRng::seed_from_u64(99);
-        let mut b = StdRng::seed_from_u64(99);
-        for _ in 0..2000 {
-            let via_driver = toy_shot(&mut RngFaults::new(&mut a));
-            let direct = {
-                let mut error = PauliString::identity(1);
-                sample_pauli_into(&mut error, 0, probs(0.01, 0.0, 0.0), &mut b);
-                sample_pauli_into(&mut error, 0, probs(0.02, 0.0, 0.005), &mut b);
-                sample_pauli_into(&mut error, 0, probs(0.0, 0.0, 0.0), &mut b);
-                let flipped = b.gen::<f64>() < 0.03;
-                let (x, _) = error.get(0).xz();
-                x || flipped
-            };
-            assert_eq!(via_driver, direct);
+    /// The float comparison a uniform draw used to make: `k · 2⁻⁵³ < p`.
+    fn float_fires(k: u64, p: f64) -> bool {
+        (k as f64) * (1.0 / TWO_POW_53) < p
+    }
+
+    fn assert_threshold_exact(p: f64) {
+        let t = threshold(p);
+        let max_k = (1u64 << 53) - 1;
+        for k in [t.saturating_sub(1), t, t.saturating_add(1), 0, max_k] {
+            let k = k.min(max_k);
+            assert_eq!(k < t, float_fires(k, p), "p = {p:e}, k = {k}, t = {t}");
         }
     }
 
     #[test]
-    fn recorder_captures_static_site_table() {
-        let mut rec = RecordFaults::new();
-        let failed = toy_shot(&mut rec);
-        assert!(!failed, "recorder must not inject faults");
-        let sites = rec.into_sites();
-        assert_eq!(sites.len(), 4);
-        assert_eq!(sites[0].trigger(), 0.01);
-        assert_eq!(sites[1].trigger(), 0.025);
-        assert_eq!(sites[2].trigger(), 0.0);
-        assert_eq!(sites[3], SiteProbs::Flip(0.03));
-        // Variant weights are conditional on triggering.
-        assert!((sites[1].variant_weight(0) - 0.02 / 0.025).abs() < 1e-15);
-        assert!((sites[1].variant_weight(2) - 0.005 / 0.025).abs() < 1e-15);
-        assert_eq!(sites[3].variant_weight(0), 1.0);
+    fn thresholds_are_exact_at_edge_probabilities() {
+        let ulp = 1.0 / TWO_POW_53;
+        for p in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            ulp,
+            ulp * 1.5,
+            0.5 * ulp,
+            1.0 - ulp,
+            1.0,
+            1.5,
+            -1e-3,
+            -1.0,
+            f64::MAX,
+            f64::MIN,
+        ] {
+            assert_threshold_exact(p);
+        }
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(-1e-3), 0);
+        assert_eq!(threshold(5e-324), 1);
+        assert_eq!(threshold(ulp), 1);
+        assert_eq!(threshold(1.0 - ulp), (1 << 53) - 1);
+        assert_eq!(threshold(1.0), 1 << 53);
+    }
+
+    proptest::proptest! {
+        /// `k < t(p)` ⇔ `k · 2⁻⁵³ < p` for random `p`, at `k` on both
+        /// sides of the threshold and at a random 53-bit `k`.
+        #[test]
+        fn thresholds_match_float_comparison(
+            p in -0.5f64..1.5,
+            k in 0u64..(1 << 53),
+        ) {
+            assert_threshold_exact(p);
+            proptest::prop_assert_eq!(k < threshold(p), float_fires(k, p));
+        }
+
+        /// Tiny probabilities, where `p · 2⁵³` is below or near one.
+        #[test]
+        fn thresholds_are_exact_for_tiny_probabilities(scale in 0.0f64..4.0) {
+            assert_threshold_exact(scale / TWO_POW_53);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn nan_site_is_rejected() {
+        PauliSite::new(0, probs(f64::NAN, 0.0, 0.0));
+    }
+
+    #[test]
+    fn site_probs_condition_on_triggering() {
+        let pauli = SiteProbs::Pauli(probs(0.02, 0.0, 0.005));
+        assert_eq!(pauli.trigger(), 0.025);
+        assert_eq!(SiteProbs::Pauli(probs(0.0, 0.0, 0.0)).trigger(), 0.0);
+        assert!((pauli.variant_weight(0) - 0.02 / 0.025).abs() < 1e-15);
+        assert!((pauli.variant_weight(2) - 0.005 / 0.025).abs() < 1e-15);
+        assert_eq!(SiteProbs::Flip(0.03).variant_weight(0), 1.0);
     }
 
     #[test]
@@ -548,7 +609,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         let plain = stratified_rate(&pool, &sites, config, 13, 64, toy_shot).into_report();
         let token = CancelToken::new();
-        let tried = try_stratified_rate(&pool, &sites, config, 13, 64, &token, toy_shot)
+        let tried = try_stratified_rate(&pool, &sites, config, 13, 64, Some(&token), toy_shot)
             .unwrap()
             .into_report();
         assert_eq!(plain, tried);
@@ -569,7 +630,7 @@ mod tests {
             RareConfig::default(),
             13,
             64,
-            &token,
+            Some(&token),
             toy_shot,
         );
         assert_eq!(out.unwrap_err(), Cancelled);

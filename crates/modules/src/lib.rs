@@ -15,6 +15,7 @@ pub mod epsource;
 pub mod event;
 pub mod faults;
 pub mod hierarchy;
+mod program;
 pub mod uec;
 
 pub use epsource::EpSource;

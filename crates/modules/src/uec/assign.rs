@@ -255,9 +255,10 @@ impl Search {
                         continue;
                     }
                     self.place(q, r);
-                    // A move that overfills a register is skipped but not
-                    // undone: the next move of `q` starts from it.
+                    // A move that overfills a register is undone like a
+                    // move that does not improve the cost.
                     if !self.capacity_ok() {
+                        self.place(q, original);
                         continue;
                     }
                     let c = self.cost();

@@ -8,22 +8,15 @@
 //! cost of two extra SWAPs per hop. Checks touching disjoint segment sets
 //! run concurrently — partial parallelism the single USC cannot offer.
 
-use hetarch_exec::WorkerPool;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use hetarch_exec::{Cancelled, WorkerPool};
 use serde::{Deserialize, Serialize};
 
 use hetarch_cells::UscChannel;
-use hetarch_qsim::channels::PauliProbs;
 use hetarch_stab::codes::StabilizerCode;
 use hetarch_stab::decoder::LookupDecoder;
-use hetarch_stab::pauli::PauliString;
 
-use crate::uec::sim::{
-    combine, first_order_table, pack_syndrome, sample_pauli_into, UecNoise, UEC_FAILURES,
-    UEC_RUN_NS, UEC_SHOTS,
-};
-use hetarch_obs as obs;
+use crate::program::{CycleProgram, ProgramBuilder};
+use crate::uec::sim::{combine, depolarizing, first_order_words, run_plain, UecNoise, UecResult};
 
 /// The chain geometry: segment 0 is the head USC, the rest are extensions.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -240,12 +233,8 @@ pub fn build_chain_schedule(
 /// Monte-Carlo simulator for a code running on a USC chain.
 #[derive(Clone, Debug)]
 pub struct ChainUecModule {
-    code: StabilizerCode,
-    usc: UscChannel,
-    noise: UecNoise,
     schedule: ChainSchedule,
-    decoder: LookupDecoder,
-    fault_table: std::collections::HashMap<u64, PauliString>,
+    program: CycleProgram,
 }
 
 impl ChainUecModule {
@@ -265,15 +254,9 @@ impl ChainUecModule {
             .iter()
             .map(|w| w.iter().map(|c| c.stabilizer).collect())
             .collect();
-        let fault_table = first_order_table(&code, &groups);
-        ChainUecModule {
-            code,
-            usc,
-            noise,
-            schedule,
-            decoder,
-            fault_table,
-        }
+        let fault_table = first_order_words(&code, &groups);
+        let program = compile(&code, &usc, noise, &schedule).finish(decoder, fault_table);
+        ChainUecModule { schedule, program }
     }
 
     /// The wave schedule.
@@ -287,142 +270,66 @@ impl ChainUecModule {
     /// and per-shard RNG streams depend only on `(shots, seed)`, so the
     /// result is **bit-identical for every worker count**. `shots == 0`
     /// reports a rate of zero.
-    pub fn logical_error_rate(&self, shots: usize, seed: u64) -> crate::uec::sim::UecResult {
+    pub fn logical_error_rate(&self, shots: usize, seed: u64) -> UecResult {
         self.logical_error_rate_on(WorkerPool::global(), shots, seed)
     }
 
     /// As [`Self::logical_error_rate`] with an explicit worker pool.
-    pub fn logical_error_rate_on(
-        &self,
-        pool: &WorkerPool,
-        shots: usize,
-        seed: u64,
-    ) -> crate::uec::sim::UecResult {
-        let n = self.code.num_qubits();
-        let stabs = self.code.stabilizers();
-        let supports: Vec<Vec<usize>> = stabs
-            .iter()
-            .map(|s| s.iter_support().map(|(q, _)| q).collect())
-            .collect();
-
-        struct WaveNoise {
-            duration: f64,
-            storage: PauliProbs,
-            checks: Vec<(usize, PauliProbs, f64, u32)>, // (stab, compute-exposure twirl, anc_flip, hops)
-        }
-        let waves: Vec<WaveNoise> = self
-            .schedule
-            .waves
-            .iter()
-            .map(|wave| {
-                let duration = wave.iter().map(|c| c.duration).fold(0.0f64, f64::max);
-                let checks = wave
-                    .iter()
-                    .map(|c| {
-                        let w = supports[c.stabilizer].len();
-                        let anc_idle = self.usc.compute_idle.twirl_probs(c.duration);
-                        let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * self.noise.p2q).powi(w as i32);
-                        let anc_flip = combine(
-                            combine(anc_idle.px + anc_idle.py, p_gate_anc),
-                            self.noise.meas_flip,
-                        );
-                        (
-                            c.stabilizer,
-                            self.usc.compute_idle.twirl_probs(c.exposure),
-                            anc_flip,
-                            c.hops,
-                        )
-                    })
-                    .collect();
-                WaveNoise {
-                    duration,
-                    storage: self.usc.storage_idle.twirl_probs(duration),
-                    checks,
-                }
-            })
-            .collect();
-
-        let one_shot = |rng: &mut StdRng| -> bool {
-            let mut error = PauliString::identity(n);
-            let mut syndrome = 0u64;
-            for wave in &waves {
-                for q in 0..n {
-                    sample_pauli_into(&mut error, q, wave.storage, rng);
-                }
-                let _ = wave.duration;
-                for (stab, exposure_twirl, anc_flip, hops) in &wave.checks {
-                    let p_sw = self.noise.p_swap * 4.0 / 15.0;
-                    let p_cx = self.noise.p2q * 4.0 / 15.0;
-                    let extra_hop_swaps = (2 * *hops) as usize / supports[*stab].len().max(1);
-                    for &q in &supports[*stab] {
-                        sample_pauli_into(&mut error, q, *exposure_twirl, rng);
-                        for _ in 0..(2 + extra_hop_swaps) {
-                            sample_pauli_into(
-                                &mut error,
-                                q,
-                                PauliProbs {
-                                    px: p_sw,
-                                    py: p_sw,
-                                    pz: p_sw,
-                                },
-                                rng,
-                            );
-                        }
-                        sample_pauli_into(
-                            &mut error,
-                            q,
-                            PauliProbs {
-                                px: p_cx,
-                                py: p_cx,
-                                pz: p_cx,
-                            },
-                            rng,
-                        );
-                    }
-                    let mut bit = !stabs[*stab].commutes_with(&error);
-                    if rng.gen::<f64>() < *anc_flip {
-                        bit = !bit;
-                    }
-                    if bit {
-                        syndrome |= 1 << *stab;
-                    }
-                }
-            }
-            let correction = self
-                .fault_table
-                .get(&syndrome)
-                .cloned()
-                .unwrap_or_else(|| self.decoder.decode_bits(syndrome));
-            let residual = error.xor(&correction);
-            let true_syn = pack_syndrome(&self.code.syndrome_of(&residual));
-            let final_error = residual.xor(&self.decoder.decode_bits(true_syn));
-            !self.code.in_normalizer(&final_error) || self.code.is_logical_error(&final_error)
-        };
-        let span = obs::span!(UEC_RUN_NS);
-        let failures = pool.fold_shards(
-            shots,
-            crate::uec::sim::MC_SHARD_SHOTS,
-            seed,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len).filter(|_| one_shot(&mut rng)).count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        );
-        drop(span);
-        UEC_SHOTS.add(shots as u64);
-        UEC_FAILURES.add(failures as u64);
-        crate::uec::sim::UecResult {
-            logical_error_rate: if shots == 0 {
-                0.0
-            } else {
-                failures as f64 / shots as f64
-            },
-            cycle_duration: self.schedule.cycle_duration,
-            shots,
+    pub fn logical_error_rate_on(&self, pool: &WorkerPool, shots: usize, seed: u64) -> UecResult {
+        let duration = self.schedule.cycle_duration;
+        match run_plain(&self.program, duration, pool, shots, seed, None) {
+            Ok(result) => result,
+            Err(Cancelled) => unreachable!("no token, no cancellation"),
         }
     }
+}
+
+/// Lists one chained cycle's fault sites, in the order a shot visits them:
+/// per wave, every data qubit's storage idle over the wave, then per check
+/// each involved qubit's compute exposure, its storage SWAPs (two plus its
+/// share of the chain hops) and CX, then the check's readout.
+fn compile(
+    code: &StabilizerCode,
+    usc: &UscChannel,
+    noise: UecNoise,
+    schedule: &ChainSchedule,
+) -> ProgramBuilder {
+    let n = code.num_qubits();
+    let supports: Vec<Vec<usize>> = code
+        .stabilizers()
+        .iter()
+        .map(|s| s.iter_support().map(|(q, _)| q).collect())
+        .collect();
+    let mut program = ProgramBuilder::new(code);
+    let p_sw = noise.p_swap * 4.0 / 15.0;
+    let p_cx = noise.p2q * 4.0 / 15.0;
+    for wave in &schedule.waves {
+        let duration = wave.iter().map(|c| c.duration).fold(0.0f64, f64::max);
+        let storage = usc.storage_idle.twirl_probs(duration);
+        for q in 0..n {
+            program.pauli(q, storage);
+        }
+        for check in wave {
+            let support = &supports[check.stabilizer];
+            let exposure = usc.compute_idle.twirl_probs(check.exposure);
+            let extra_hop_swaps = (2 * check.hops) as usize / support.len().max(1);
+            for &q in support {
+                program.pauli(q, exposure);
+                for _ in 0..(2 + extra_hop_swaps) {
+                    program.pauli(q, depolarizing(p_sw));
+                }
+                program.pauli(q, depolarizing(p_cx));
+            }
+            let anc_idle = usc.compute_idle.twirl_probs(check.duration);
+            let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(support.len() as i32);
+            let anc_flip = combine(
+                combine(anc_idle.px + anc_idle.py, p_gate_anc),
+                noise.meas_flip,
+            );
+            program.readout(check.stabilizer, anc_flip);
+        }
+    }
+    program
 }
 
 #[cfg(test)]

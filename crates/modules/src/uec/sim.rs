@@ -11,11 +11,9 @@
 use hetarch_exec::rare::{RareConfig, RareOutcome};
 use hetarch_exec::{CancelToken, Cancelled, WorkerPool};
 use hetarch_obs as obs;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::faults::{stratified_rate, try_stratified_rate, FaultDriver, RecordFaults, RngFaults};
+use crate::program::{CycleProgram, ProgramBuilder};
 
 use hetarch_cells::UscChannel;
 use hetarch_qsim::channels::PauliProbs;
@@ -27,16 +25,11 @@ use crate::uec::assign::{build_schedule, search_assignment, Assignment, CycleSch
 
 use std::collections::HashMap;
 
-/// Shots per shard of the UEC Monte-Carlo loops. Fixed (never derived from
-/// the worker count) so shard boundaries — and therefore results — are
-/// identical for every worker count.
-pub(crate) const MC_SHARD_SHOTS: usize = 512;
-
-// UEC Monte-Carlo metrics, shared with the chained variant in `chain.rs`
-// (no-ops unless the `obs` feature is on and `HETARCH_OBS=1`).
-pub(crate) static UEC_SHOTS: obs::Counter = obs::Counter::new("modules.uec.shots");
-pub(crate) static UEC_FAILURES: obs::Counter = obs::Counter::new("modules.uec.failures");
-pub(crate) static UEC_RUN_NS: obs::Histogram = obs::Histogram::new("modules.uec.run_ns");
+// UEC Monte-Carlo metrics, shared with the chained variant through
+// `run_plain` (no-ops unless the `obs` feature is on and `HETARCH_OBS=1`).
+static UEC_SHOTS: obs::Counter = obs::Counter::new("modules.uec.shots");
+static UEC_FAILURES: obs::Counter = obs::Counter::new("modules.uec.failures");
+static UEC_RUN_NS: obs::Histogram = obs::Histogram::new("modules.uec.run_ns");
 
 /// Gate-level noise settings for the UEC study (§4.2: two-qubit gates at
 /// 1%).
@@ -78,12 +71,9 @@ pub struct UecResult {
 #[derive(Clone, Debug)]
 pub struct UecModule {
     code: StabilizerCode,
-    usc: UscChannel,
-    noise: UecNoise,
     assignment: Assignment,
     schedule: CycleSchedule,
-    decoder: LookupDecoder,
-    fault_table: HashMap<u64, PauliString>,
+    program: CycleProgram,
 }
 
 impl UecModule {
@@ -102,15 +92,13 @@ impl UecModule {
         // Serialized extraction: one stabilizer per temporal step, in
         // schedule order.
         let groups: Vec<Vec<usize>> = schedule.checks.iter().map(|c| vec![c.stabilizer]).collect();
-        let fault_table = first_order_table(&code, &groups);
+        let fault_table = first_order_words(&code, &groups);
+        let program = compile(&code, &usc, noise, &schedule).finish(decoder, fault_table);
         UecModule {
             code,
-            usc,
-            noise,
             assignment,
             schedule,
-            decoder,
-            fault_table,
+            program,
         }
     }
 
@@ -142,32 +130,16 @@ impl UecModule {
 
     /// As [`Self::logical_error_rate`] with an explicit worker pool.
     pub fn logical_error_rate_on(&self, pool: &WorkerPool, shots: usize, seed: u64) -> UecResult {
-        let slots = self.slot_noise();
-        let span = obs::span!(UEC_RUN_NS);
-        let failures = pool.fold_shards(
+        match run_plain(
+            &self.program,
+            self.schedule.cycle_duration,
+            pool,
             shots,
-            MC_SHARD_SHOTS,
             seed,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len)
-                    .filter(|_| self.run_shot(&slots, &mut RngFaults::new(&mut rng)))
-                    .count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        );
-        drop(span);
-        UEC_SHOTS.add(shots as u64);
-        UEC_FAILURES.add(failures as u64);
-        UecResult {
-            logical_error_rate: if shots == 0 {
-                0.0
-            } else {
-                failures as f64 / shots as f64
-            },
-            cycle_duration: self.schedule.cycle_duration,
-            shots,
+            None,
+        ) {
+            Ok(result) => result,
+            Err(Cancelled) => unreachable!("no token, no cancellation"),
         }
     }
 
@@ -182,34 +154,8 @@ impl UecModule {
         seed: u64,
         token: &CancelToken,
     ) -> Result<UecResult, Cancelled> {
-        let slots = self.slot_noise();
-        let span = obs::span!(UEC_RUN_NS);
-        let failures = pool.try_fold_shards(
-            shots,
-            MC_SHARD_SHOTS,
-            seed,
-            token,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len)
-                    .filter(|_| self.run_shot(&slots, &mut RngFaults::new(&mut rng)))
-                    .count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        )?;
-        drop(span);
-        UEC_SHOTS.add(shots as u64);
-        UEC_FAILURES.add(failures as u64);
-        Ok(UecResult {
-            logical_error_rate: if shots == 0 {
-                0.0
-            } else {
-                failures as f64 / shots as f64
-            },
-            cycle_duration: self.schedule.cycle_duration,
-            shots,
-        })
+        let duration = self.schedule.cycle_duration;
+        run_plain(&self.program, duration, pool, shots, seed, Some(token))
     }
 
     /// Estimates the per-cycle logical error rate with the weight-stratified
@@ -232,23 +178,16 @@ impl UecModule {
         config: RareConfig,
         seed: u64,
     ) -> RareOutcome {
-        let slots = self.slot_noise();
-        // One dry shot records the static fault-site table.
-        let mut recorder = RecordFaults::new();
-        self.run_shot(&slots, &mut recorder);
-        let sites = recorder.into_sites();
-        let span = obs::span!(UEC_RUN_NS);
-        let outcome = stratified_rate(pool, &sites, config, seed, MC_SHARD_SHOTS, |driver| {
-            self.run_shot(&slots, driver)
-        });
-        drop(span);
-        UEC_SHOTS.add(outcome.report().total_shots as u64);
-        outcome
+        match self.run_rare(pool, config, seed, None) {
+            Ok(outcome) => outcome,
+            Err(Cancelled) => unreachable!("no token, no cancellation"),
+        }
     }
 
     /// As [`Self::logical_error_rate_rare_on`] with a cooperative
-    /// [`CancelToken`] threaded into the stratified estimator (see
-    /// [`try_stratified_rate`]).
+    /// [`CancelToken`] threaded into the stratified estimator: it is
+    /// checked between shards of sampled strata and periodically inside
+    /// enumerated ones.
     pub fn try_logical_error_rate_rare_on(
         &self,
         pool: &WorkerPool,
@@ -256,142 +195,110 @@ impl UecModule {
         seed: u64,
         token: &CancelToken,
     ) -> Result<RareOutcome, Cancelled> {
-        let slots = self.slot_noise();
-        let mut recorder = RecordFaults::new();
-        self.run_shot(&slots, &mut recorder);
-        let sites = recorder.into_sites();
+        self.run_rare(pool, config, seed, Some(token))
+    }
+
+    fn run_rare(
+        &self,
+        pool: &WorkerPool,
+        config: RareConfig,
+        seed: u64,
+        token: Option<&CancelToken>,
+    ) -> Result<RareOutcome, Cancelled> {
         let span = obs::span!(UEC_RUN_NS);
-        let outcome = try_stratified_rate(
-            pool,
-            &sites,
-            config,
-            seed,
-            MC_SHARD_SHOTS,
-            token,
-            |driver| self.run_shot(&slots, driver),
-        )?;
+        let outcome = self.program.rare_rate(pool, config, seed, token)?;
         drop(span);
         UEC_SHOTS.add(outcome.report().total_shots as u64);
         Ok(outcome)
     }
-
-    /// Precomputes the per-slot noise tables.
-    fn slot_noise(&self) -> Vec<SlotNoise> {
-        let stabs = self.code.stabilizers();
-        self.schedule
-            .checks
-            .iter()
-            .map(|slot| {
-                let stab = &stabs[slot.stabilizer];
-                let support: Vec<usize> = stab.iter_support().map(|(q, _)| q).collect();
-                let anc_idle = self.usc.compute_idle.twirl_probs(slot.duration);
-                // X/Y on the ancilla flips its Z readout; each CX can also
-                // deposit a flipping component (8 of 15 depolarizing terms).
-                let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * self.noise.p2q).powi(slot.weight as i32);
-                let anc_flip = combine(
-                    combine(anc_idle.px + anc_idle.py, p_gate_anc),
-                    self.noise.meas_flip,
-                );
-                SlotNoise {
-                    storage_uninvolved: self.usc.storage_idle.twirl_probs(slot.duration),
-                    storage_involved: self
-                        .usc
-                        .storage_idle
-                        .twirl_probs((slot.duration - slot.exposure).max(0.0)),
-                    compute_exposure: self.usc.compute_idle.twirl_probs(slot.exposure),
-                    anc_flip,
-                    support,
-                }
-            })
-            .collect()
-    }
-
-    /// One QEC cycle against an arbitrary [`FaultDriver`].
-    ///
-    /// The site-visit order is static — it never depends on sampled
-    /// outcomes — which is what lets the same body serve the legacy
-    /// Monte-Carlo path ([`RngFaults`], preserving the historical variate
-    /// stream exactly), the site recorder, and the forced-fault replays of
-    /// the rare-event estimator.
-    fn run_shot<D: FaultDriver>(&self, slots: &[SlotNoise], driver: &mut D) -> bool {
-        let n = self.code.num_qubits();
-        let stabs = self.code.stabilizers();
-        let mut error = PauliString::identity(n);
-        let mut syndrome: u64 = 0;
-        for (slot, sn) in self.schedule.checks.iter().zip(slots) {
-            // Idle noise on every data qubit for this slot.
-            for q in 0..n {
-                let involved = sn.support.contains(&q);
-                let probs = if involved {
-                    sn.storage_involved
-                } else {
-                    sn.storage_uninvolved
-                };
-                driver.pauli_site(&mut error, q, probs);
-                if involved {
-                    driver.pauli_site(&mut error, q, sn.compute_exposure);
-                }
-            }
-            // Gate noise: two SWAPs and one CX per involved qubit (the
-            // data-side marginal of two-qubit depolarizing noise).
-            let p_sw = self.noise.p_swap * 4.0 / 15.0;
-            let p_cx = self.noise.p2q * 4.0 / 15.0;
-            for &q in &sn.support {
-                for _ in 0..2 {
-                    driver.pauli_site(
-                        &mut error,
-                        q,
-                        PauliProbs {
-                            px: p_sw,
-                            py: p_sw,
-                            pz: p_sw,
-                        },
-                    );
-                }
-                driver.pauli_site(
-                    &mut error,
-                    q,
-                    PauliProbs {
-                        px: p_cx,
-                        py: p_cx,
-                        pz: p_cx,
-                    },
-                );
-            }
-            // Measured syndrome bit: the accumulated error so far, plus
-            // ancilla/readout faults.
-            let mut bit = !stabs[slot.stabilizer].commutes_with(&error);
-            if driver.flip_site(sn.anc_flip) {
-                bit = !bit;
-            }
-            if bit {
-                syndrome |= 1 << slot.stabilizer;
-            }
-        }
-        // Decode with the (noisy) measured syndrome using the
-        // first-order circuit-fault table (partial syndromes from
-        // mid-cycle errors decode to their own fault, never to a
-        // spurious multi-qubit correction)...
-        let correction = self
-            .fault_table
-            .get(&syndrome)
-            .cloned()
-            .unwrap_or_else(|| self.decoder.decode_bits(syndrome));
-        let residual = error.xor(&correction);
-        // ...then a perfect round resolves any leftover syndrome.
-        let true_syn = pack_syndrome(&self.code.syndrome_of(&residual));
-        let final_error = residual.xor(&self.decoder.decode_bits(true_syn));
-        !self.code.in_normalizer(&final_error) || self.code.is_logical_error(&final_error)
-    }
 }
 
-/// Per-slot noise table of one serialized check.
-struct SlotNoise {
-    storage_uninvolved: PauliProbs,
-    storage_involved: PauliProbs,
-    compute_exposure: PauliProbs,
-    anc_flip: f64,
-    support: Vec<usize>,
+/// Runs `shots` plain Monte-Carlo cycles of `program` under the UEC
+/// metrics and reports the per-cycle logical error rate (zero for
+/// `shots == 0`).
+pub(crate) fn run_plain(
+    program: &CycleProgram,
+    cycle_duration: f64,
+    pool: &WorkerPool,
+    shots: usize,
+    seed: u64,
+    token: Option<&CancelToken>,
+) -> Result<UecResult, Cancelled> {
+    let span = obs::span!(UEC_RUN_NS);
+    let failures = program.count_failures(pool, shots, seed, token)?;
+    drop(span);
+    UEC_SHOTS.add(shots as u64);
+    UEC_FAILURES.add(failures as u64);
+    Ok(UecResult {
+        logical_error_rate: if shots == 0 {
+            0.0
+        } else {
+            failures as f64 / shots as f64
+        },
+        cycle_duration,
+        shots,
+    })
+}
+
+/// Lists one serialized UEC cycle's fault sites, in the order a shot
+/// visits them: per check, every data qubit's storage idle (plus its
+/// compute exposure when involved), then each involved qubit's two storage
+/// SWAPs and CX, then the check's readout.
+fn compile(
+    code: &StabilizerCode,
+    usc: &UscChannel,
+    noise: UecNoise,
+    schedule: &CycleSchedule,
+) -> ProgramBuilder {
+    let n = code.num_qubits();
+    let stabs = code.stabilizers();
+    let mut program = ProgramBuilder::new(code);
+    // Gate noise: the data-side marginal of two-qubit depolarizing noise.
+    let p_sw = noise.p_swap * 4.0 / 15.0;
+    let p_cx = noise.p2q * 4.0 / 15.0;
+    for slot in &schedule.checks {
+        let support: Vec<usize> = stabs[slot.stabilizer]
+            .iter_support()
+            .map(|(q, _)| q)
+            .collect();
+        let storage_uninvolved = usc.storage_idle.twirl_probs(slot.duration);
+        let storage_involved = usc
+            .storage_idle
+            .twirl_probs((slot.duration - slot.exposure).max(0.0));
+        let compute_exposure = usc.compute_idle.twirl_probs(slot.exposure);
+        for q in 0..n {
+            if support.contains(&q) {
+                program.pauli(q, storage_involved);
+                program.pauli(q, compute_exposure);
+            } else {
+                program.pauli(q, storage_uninvolved);
+            }
+        }
+        for &q in &support {
+            program.pauli(q, depolarizing(p_sw));
+            program.pauli(q, depolarizing(p_sw));
+            program.pauli(q, depolarizing(p_cx));
+        }
+        // X/Y on the ancilla flips its Z readout; each CX can also deposit
+        // a flipping component (8 of 15 depolarizing terms).
+        let anc_idle = usc.compute_idle.twirl_probs(slot.duration);
+        let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(slot.weight as i32);
+        let anc_flip = combine(
+            combine(anc_idle.px + anc_idle.py, p_gate_anc),
+            noise.meas_flip,
+        );
+        program.readout(slot.stabilizer, anc_flip);
+    }
+    program
+}
+
+/// The symmetric Pauli channel with probability `p` per Pauli.
+pub(crate) fn depolarizing(p: f64) -> PauliProbs {
+    PauliProbs {
+        px: p,
+        py: p,
+        pz: p,
+    }
 }
 
 /// Builds the first-order circuit-fault decoding table for a temporally
@@ -411,6 +318,36 @@ pub fn first_order_table(
     code: &StabilizerCode,
     temporal_groups: &[Vec<usize>],
 ) -> HashMap<u64, PauliString> {
+    let n = code.num_qubits();
+    first_order_corrections(code, temporal_groups, |cause| match cause {
+        Some(site) => PauliString::from_sparse(n, &[site]),
+        None => PauliString::identity(n),
+    })
+}
+
+/// [`first_order_table`] with each correction as its `(x, z)` words, for
+/// codes of at most 64 qubits.
+pub(crate) fn first_order_words(
+    code: &StabilizerCode,
+    temporal_groups: &[Vec<usize>],
+) -> HashMap<u64, (u64, u64)> {
+    first_order_corrections(code, temporal_groups, |cause| match cause {
+        Some((q, p)) => {
+            let (x, z) = p.xz();
+            ((x as u64) << q, (z as u64) << q)
+        }
+        None => (0, 0),
+    })
+}
+
+/// The first-order table with each symptom's correction made by
+/// `correction` from its cause: a single-site fault, or `None` for the
+/// identity.
+fn first_order_corrections<C>(
+    code: &StabilizerCode,
+    temporal_groups: &[Vec<usize>],
+    correction: impl Fn(Option<(usize, Pauli)>) -> C,
+) -> HashMap<u64, C> {
     let n = code.num_qubits();
     let stabs = code.stabilizers();
     // Gather every single fault's symptom, then resolve: a symptom claimed
@@ -448,18 +385,18 @@ pub fn first_order_table(
             claim(syndrome & mask, Some(site));
         }
     }
-    let mut table: HashMap<u64, PauliString> = claims
+    let mut table: HashMap<u64, C> = claims
         .into_iter()
         .filter(|&(symptom, _)| symptom != 0)
         .map(|(symptom, c)| {
-            let correction = match c {
-                Claim::Unique(Some(site)) => PauliString::from_sparse(n, &[site]),
-                Claim::Unique(None) | Claim::Ambiguous => PauliString::identity(n),
+            let cause = match c {
+                Claim::Unique(cause) => cause,
+                Claim::Ambiguous => None,
             };
-            (symptom, correction)
+            (symptom, correction(cause))
         })
         .collect();
-    table.insert(0, PauliString::identity(n));
+    table.insert(0, correction(None));
     table
 }
 
@@ -473,39 +410,6 @@ enum Claim {
 
 pub(crate) fn combine(a: f64, b: f64) -> f64 {
     a * (1.0 - b) + b * (1.0 - a)
-}
-
-pub(crate) fn pack_syndrome(bits: &[bool]) -> u64 {
-    bits.iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
-}
-
-pub(crate) fn sample_pauli_into<R: Rng + ?Sized>(
-    error: &mut PauliString,
-    q: usize,
-    probs: PauliProbs,
-    rng: &mut R,
-) {
-    let total = probs.total();
-    if total <= 0.0 {
-        return;
-    }
-    let r: f64 = rng.gen();
-    if r >= total {
-        return;
-    }
-    let p = if r < probs.px {
-        Pauli::X
-    } else if r < probs.px + probs.py {
-        Pauli::Y
-    } else {
-        Pauli::Z
-    };
-    let cur = error.get(q);
-    let (cx, cz) = cur.xz();
-    let (nx, nz) = p.xz();
-    error.set(q, Pauli::from_xz(cx ^ nx, cz ^ nz));
 }
 
 #[cfg(test)]
@@ -580,6 +484,41 @@ mod tests {
         let a = m.logical_error_rate(1000, 42);
         let b = m.logical_error_rate(1000, 42);
         assert_eq!(a.logical_error_rate, b.logical_error_rate);
+    }
+
+    #[test]
+    fn word_table_matches_pauli_string_table() {
+        for code in [steane(), rotated_surface_code(3), rotated_surface_code(5)] {
+            let serial: Vec<Vec<usize>> = (0..code.stabilizers().len()).map(|s| vec![s]).collect();
+            let layered = vec![(0..code.stabilizers().len()).collect::<Vec<_>>()];
+            for groups in [serial, layered] {
+                let words = first_order_words(&code, &groups);
+                let table = first_order_table(&code, &groups);
+                assert_eq!(words.len(), table.len());
+                for (s, c) in &table {
+                    assert_eq!(words[s], (c.x_word(0), c.z_word(0)), "{}", code.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_circuit_fault_is_corrected() {
+        // The first-order table's promise, checked through the compiled
+        // cycle: any one fault, at any site, with any variant, decodes
+        // without a logical error, and every replay visits every site.
+        for code in [steane(), rotated_surface_code(3)] {
+            let m = UecModule::new(code, usc(1e-3), UecNoise::default());
+            let sites = m.program.sites();
+            let mut driver = crate::faults::ForcedFaults::new(sites.len(), &[]);
+            for (i, site) in sites.iter().enumerate() {
+                for v in 0..site.variant_count() {
+                    driver.reset(&[(i, v)]);
+                    assert!(!m.program.run(&mut driver), "site {i} variant {v}");
+                    assert_eq!(driver.sites_visited(), sites.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -140,6 +140,24 @@ impl LookupDecoder {
             None => PauliString::identity(self.num_qubits),
         }
     }
+
+    /// As [`Self::decode_bits`] for codes of at most 64 qubits, returning
+    /// the correction as its `(x, z)` words without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the code has more than 64 qubits.
+    #[inline]
+    pub fn decode_word(&self, bits: u64) -> (u64, u64) {
+        assert!(self.num_qubits <= 64, "decode_word needs at most 64 qubits");
+        match self.table.get(&bits) {
+            Some(&index) => {
+                let start = 2 * index as usize;
+                (self.corrections[start], self.corrections[start + 1])
+            }
+            None => (0, 0),
+        }
+    }
 }
 
 /// State of the depth-first table build: the error under construction as

@@ -9,11 +9,18 @@
 //! that costs every candidate by materialising it. The differential suite
 //! `tests/uec_build_differential.rs` demands that both give identical
 //! outputs, entry for entry.
+//!
+//! [`sample_pauli_into`] is the floating-point fault sampling the UEC-family
+//! shot bodies used before their cycles were compiled to integer thresholds
+//! (DESIGN.md §5m); `tests/fault_stream_contract.rs` holds the compiled
+//! sites' driver to it, draw for draw.
 
 use std::collections::HashMap;
 
+use hetarch_qsim::channels::PauliProbs;
 use hetarch_stab::codes::StabilizerCode;
 use hetarch_stab::pauli::{Pauli, PauliString};
+use rand::Rng;
 
 /// The minimum-weight lookup table over all errors of weight
 /// `≤ max_weight`, built breadth-first in error weight: the first
@@ -211,6 +218,7 @@ fn hill_climb(code: &StabilizerCode, registers: u32, modes: u32) -> Vec<u32> {
                 }
                 map[q] = r;
                 if !capacity_ok(&map, registers, modes) {
+                    map[q] = original;
                     continue;
                 }
                 let c = assignment_cost(code, registers, &map);
@@ -224,4 +232,34 @@ fn hill_climb(code: &StabilizerCode, registers: u32, modes: u32) -> Vec<u32> {
         }
     }
     map
+}
+
+/// Samples one fault of the Pauli channel `probs` into qubit `q` of
+/// `error` with a single uniform `f64` draw `r`: nothing when `r ≥ total`,
+/// else X below `px`, Y below `px + py` and Z otherwise. A channel whose
+/// total probability is not positive makes no draw.
+pub fn sample_pauli_into<R: Rng + ?Sized>(
+    error: &mut PauliString,
+    q: usize,
+    probs: PauliProbs,
+    rng: &mut R,
+) {
+    let total = probs.total();
+    if total <= 0.0 {
+        return;
+    }
+    let r: f64 = rng.gen();
+    if r >= total {
+        return;
+    }
+    let p = if r < probs.px {
+        Pauli::X
+    } else if r < probs.px + probs.py {
+        Pauli::Y
+    } else {
+        Pauli::Z
+    };
+    let (cx, cz) = error.get(q).xz();
+    let (nx, nz) = p.xz();
+    error.set(q, Pauli::from_xz(cx ^ nx, cz ^ nz));
 }

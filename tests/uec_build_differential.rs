@@ -119,7 +119,7 @@ proptest! {
 #[test]
 fn assignments_match_materialising_oracle() {
     // d=6 fills 3×12 exactly, so the hill climb tries moves into full
-    // registers and must keep the oracle's skip-without-undo rule.
+    // registers and must undo each of them, as the oracle does.
     let cases = codes()
         .into_iter()
         .flat_map(|code| [(3, 10), (2, 15), (3, 12)].map(|shape| (code.clone(), shape)))
@@ -132,6 +132,13 @@ fn assignments_match_materialising_oracle() {
             .collect();
         let name = code.name();
         assert_eq!(chosen, oracle, "{name} on {registers}×{modes}");
+        for r in 0..registers {
+            let held = chosen.iter().filter(|&&c| c == r).count();
+            assert!(
+                held <= modes as usize,
+                "{name} on {registers}×{modes}: register {r} holds {held} qubits"
+            );
+        }
         assert_eq!(
             assignment.cost(&code),
             uec_oracle::assignment_cost(&code, registers, &oracle),
