@@ -163,6 +163,60 @@ fn rare_report_snapshot(pool: &WorkerPool) -> Snapshot {
     s
 }
 
+/// Conditioned shots per sampled stratum of [`rare_strata_snapshot`]:
+/// enough for the d=5 weight-4 stratum to see more than 50 failures.
+const RARE_STRATA_SHOTS: usize = 1536;
+
+/// Per-stratum rare-event reports of the benchmark's deep-subthreshold
+/// surface memory (d=5, 2 rounds, `max_strata` 8, enumeration up to 4096
+/// configurations) under both decoders, a d=7 memory whose 72 detectors
+/// span two 64-bit words, and a 1-round d=3 memory whose failing weight-2
+/// stratum is enumerated exactly.
+fn rare_strata_snapshot(pool: &WorkerPool) -> Snapshot {
+    use hetarch::stab::codes::SurfaceDecoder;
+
+    let noise = SurfaceNoise {
+        t_data: 10.0,
+        t_anc: 10.0,
+        p1: 2e-5,
+        p2: 2e-4,
+        p_meas: 1e-4,
+        ..SurfaceNoise::default()
+    };
+    let config = RareConfig {
+        max_strata: 8,
+        shots_per_stratum: RARE_STRATA_SHOTS,
+        ..RareConfig::default()
+    };
+    let mut s = Snapshot::new(&format!(
+        "rare-event strata: d=5 and d=7 2-round memories (t=10, p1=2e-5, p2=2e-4, \
+         p_meas=1e-4), 8 strata, {RARE_STRATA_SHOTS} shots per sampled stratum, seed 7; \
+         1-round d=3 memory enumerated up to 2^20 configurations"
+    ));
+    for (prefix, d, decoder) in [
+        ("d5 union-find ", 5, SurfaceDecoder::UnionFind),
+        ("d5 greedy ", 5, SurfaceDecoder::GreedyMatching),
+        ("d7 union-find ", 7, SurfaceDecoder::UnionFind),
+    ] {
+        let memory = SurfaceMemory::new(d, 2, noise);
+        let outcome = memory.logical_error_rate_rare_on(pool, decoder, config, 7);
+        rare_sections(&mut s, prefix, outcome);
+    }
+    let enumerated = RareConfig {
+        max_strata: 3,
+        enumerate_threshold: 1 << 20,
+        ..config
+    };
+    let outcome = SurfaceMemory::new(3, 1, noise).logical_error_rate_rare_on(
+        pool,
+        SurfaceDecoder::UnionFind,
+        enumerated,
+        7,
+    );
+    rare_sections(&mut s, "d3 enumerated ", outcome);
+    s
+}
+
 /// Renders a rare-event outcome: headline estimate and error budget under
 /// `[{prefix}report]`, then one `[{prefix}stratum w=…]` section per stratum.
 fn rare_sections(s: &mut Snapshot, prefix: &str, outcome: RareOutcome) {
@@ -324,6 +378,18 @@ fn rare_report_golden_is_worker_count_invariant() {
         "rare-event report must not depend on the worker count"
     );
     assert_golden(&golden_dir(), "rare_report_d5", &single);
+}
+
+#[test]
+fn rare_strata_golden_is_worker_count_invariant() {
+    let single = rare_strata_snapshot(&WorkerPool::new(1));
+    let eight = rare_strata_snapshot(&WorkerPool::new(8));
+    assert_eq!(
+        single.render(),
+        eight.render(),
+        "rare-event strata must not depend on the worker count"
+    );
+    assert_golden(&golden_dir(), "rare_strata", &single);
 }
 
 #[test]
