@@ -106,6 +106,24 @@ impl WeightPrior {
     }
 }
 
+/// `2⁵³`: a uniform `f64` draw is `k · 2⁻⁵³` for the 53-bit integer
+/// `k = next_u64() >> 11`.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+/// The exact integer threshold of probability `p`: `t(p) = ⌈p · 2⁵³⌉`,
+/// clamped to `[0, u64::MAX]`.
+///
+/// For every 53-bit `k`, `k < t(p)` holds exactly when `k · 2⁻⁵³ < p`:
+/// both `k · 2⁻⁵³` and `p · 2⁵³` are exact (scaling by a power of two), and
+/// an integer is below a real exactly when it is below the real's ceiling.
+/// Negative `p` and NaN give 0 (never fires, as `u < NaN` is false);
+/// `p ≥ 1` gives at least `2⁵³` and `+∞` gives `u64::MAX` (always fires).
+pub fn threshold(p: f64) -> u64 {
+    // `as` saturates: negative ceilings become 0, huge ones u64::MAX, and
+    // NaN becomes 0.
+    (p * TWO_POW_53).ceil() as u64
+}
+
 /// Exact sampler of weight-`w` site subsets, conditioned on the
 /// heterogeneous trigger probabilities.
 ///
@@ -114,38 +132,51 @@ impl WeightPrior {
 /// `p_i · S[i+1][r-1] / S[i][r]` where `r` triggers remain — the exact
 /// conditional distribution, so sampled subsets are distributed identically
 /// to the true noise process restricted to weight `w`.
+///
+/// Every such probability is computed once, in [`ConditionalSampler::new`],
+/// and stored only as its exact integer [`threshold`]: the walk fires site
+/// `i` iff the 53-bit draw `next_u64() >> 11` is below it, which decides
+/// exactly as the uniform-`f64` comparison `k · 2⁻⁵³ < p_i · S[i+1][r-1] /
+/// S[i][r]` would, with the same draws (DESIGN.md §5h).
 #[derive(Clone, Debug)]
 pub struct ConditionalSampler {
-    probs: Vec<f64>,
+    sites: usize,
     weight: usize,
-    /// Flattened `(n+1) × (w+1)` suffix table.
-    suffix: Vec<f64>,
+    feasible: bool,
+    /// `thresholds[(r - 1) · sites + i]`: the threshold of taking site `i`
+    /// with `r` triggers remaining, for `r` in `1..=weight`.
+    thresholds: Vec<u64>,
 }
 
 impl ConditionalSampler {
-    /// Prepares the suffix table for drawing weight-`weight` subsets of the
-    /// sites described by `probs`.
+    /// Prepares the take thresholds for drawing weight-`weight` subsets of
+    /// the sites described by `probs`.
     pub fn new(probs: &[f64], weight: usize) -> Self {
         let n = probs.len();
         let cols = weight + 1;
-        let mut suffix = vec![0.0; (n + 1) * cols];
-        suffix[n * cols] = 1.0;
+        // Rolling rows of the suffix table: `next` holds `S[i+1][·]` while
+        // row `S[i][·]` is built into `row`.
+        let mut next = vec![0.0; cols];
+        next[0] = 1.0;
+        let mut row = vec![0.0; cols];
+        let mut thresholds = vec![0u64; n * weight];
         for i in (0..n).rev() {
             let p = probs[i];
             for j in 0..cols {
-                let keep = (1.0 - p) * suffix[(i + 1) * cols + j];
-                let take = if j > 0 {
-                    p * suffix[(i + 1) * cols + (j - 1)]
-                } else {
-                    0.0
-                };
-                suffix[i * cols + j] = keep + take;
+                let keep = (1.0 - p) * next[j];
+                let take = if j > 0 { p * next[j - 1] } else { 0.0 };
+                row[j] = keep + take;
             }
+            for r in 1..cols {
+                thresholds[(r - 1) * n + i] = threshold(p * next[r - 1] / row[r]);
+            }
+            std::mem::swap(&mut next, &mut row);
         }
         ConditionalSampler {
-            probs: probs.to_vec(),
+            sites: n,
             weight,
-            suffix,
+            feasible: next[weight] > 0.0,
+            thresholds,
         }
     }
 
@@ -153,33 +184,31 @@ impl ConditionalSampler {
     /// `w` exceeds the number of sites that can trigger, or when too many
     /// certain sites force a higher weight).
     pub fn is_feasible(&self) -> bool {
-        self.suffix[self.weight] > 0.0
+        self.feasible
     }
 
     /// Draws one subset into `out` (cleared first, ascending site order),
-    /// consuming uniform `[0,1)` variates from `u01`.
+    /// consuming one 64-bit word from `next_u64` per site visited — the
+    /// same draws, and the same decisions, as one uniform `f64` per site.
     ///
     /// # Panics
     ///
     /// Panics if the stratum is infeasible (see
     /// [`ConditionalSampler::is_feasible`]).
-    pub fn sample_into(&self, u01: &mut dyn FnMut() -> f64, out: &mut Vec<usize>) {
+    pub fn sample_into(&self, mut next_u64: impl FnMut() -> u64, out: &mut Vec<usize>) {
         assert!(
-            self.is_feasible(),
+            self.feasible,
             "no weight-{} subset of {} sites has positive probability",
-            self.weight,
-            self.probs.len()
+            self.weight, self.sites
         );
         out.clear();
-        let cols = self.weight + 1;
+        let n = self.sites;
         let mut remaining = self.weight;
-        for (i, &p) in self.probs.iter().enumerate() {
+        for i in 0..n {
             if remaining == 0 {
                 break;
             }
-            let here = self.suffix[i * cols + remaining];
-            let take = p * self.suffix[(i + 1) * cols + (remaining - 1)] / here;
-            if u01() < take {
+            if (next_u64() >> 11) < self.thresholds[(remaining - 1) * n + i] {
                 out.push(i);
                 remaining -= 1;
             }
@@ -605,13 +634,81 @@ mod tests {
         (0..k).fold(1.0, |acc, i| acc * (n - i) as f64 / (i + 1) as f64)
     }
 
-    /// Deterministic uniform stream for sampler tests.
-    fn lcg_stream(mut state: u64) -> impl FnMut() -> f64 {
+    /// Deterministic 64-bit stream for sampler tests.
+    fn lcg_stream(mut state: u64) -> impl FnMut() -> u64 {
         move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
+            state
+        }
+    }
+
+    /// The float comparison a uniform draw used to make: `k · 2⁻⁵³ < p`.
+    fn float_fires(k: u64, p: f64) -> bool {
+        (k as f64) * (1.0 / TWO_POW_53) < p
+    }
+
+    fn assert_threshold_exact(p: f64) {
+        let t = threshold(p);
+        let max_k = (1u64 << 53) - 1;
+        for k in [t.saturating_sub(1), t, t.saturating_add(1), 0, max_k] {
+            let k = k.min(max_k);
+            assert_eq!(k < t, float_fires(k, p), "p = {p:e}, k = {k}, t = {t}");
+        }
+    }
+
+    #[test]
+    fn thresholds_are_exact_at_edge_probabilities() {
+        let ulp = 1.0 / TWO_POW_53;
+        for p in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            ulp,
+            ulp * 1.5,
+            0.5 * ulp,
+            1.0 - ulp,
+            1.0,
+            1.5,
+            -1e-3,
+            -1.0,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_threshold_exact(p);
+        }
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(-1e-3), 0);
+        assert_eq!(threshold(5e-324), 1);
+        assert_eq!(threshold(ulp), 1);
+        assert_eq!(threshold(1.0 - ulp), (1 << 53) - 1);
+        assert_eq!(threshold(1.0), 1 << 53);
+        assert_eq!(threshold(f64::NAN), 0);
+        assert_eq!(threshold(f64::INFINITY), u64::MAX);
+        assert_eq!(threshold(f64::NEG_INFINITY), 0);
+    }
+
+    proptest::proptest! {
+        /// `k < t(p)` ⇔ `k · 2⁻⁵³ < p` for random `p`, at `k` on both
+        /// sides of the threshold and at a random 53-bit `k`.
+        #[test]
+        fn thresholds_match_float_comparison(
+            p in -0.5f64..1.5,
+            k in 0u64..(1 << 53),
+        ) {
+            assert_threshold_exact(p);
+            proptest::prop_assert_eq!(k < threshold(p), float_fires(k, p));
+        }
+
+        /// Tiny probabilities, where `p · 2⁵³` is below or near one.
+        #[test]
+        fn thresholds_are_exact_for_tiny_probabilities(scale in 0.0f64..4.0) {
+            assert_threshold_exact(scale / TWO_POW_53);
         }
     }
 

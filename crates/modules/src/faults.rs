@@ -19,32 +19,15 @@
 //! [`hetarch_exec::rare::StratifiedEstimator`].
 
 use hetarch_exec::rare::{
-    enumerate_configs, ConditionalSampler, RareConfig, RareOutcome, StratifiedEstimator,
+    enumerate_configs, threshold, ConditionalSampler, RareConfig, RareOutcome, StratifiedEstimator,
     StratumEval, WeightPrior,
 };
 use hetarch_exec::{shard_seed, CancelToken, Cancelled, WorkerPool};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use hetarch_qsim::channels::PauliProbs;
 use hetarch_stab::pauli::Pauli;
-
-/// `2⁵³`: a uniform `f64` draw is `k · 2⁻⁵³` for the 53-bit integer
-/// `k = next_u64() >> 11`.
-const TWO_POW_53: f64 = (1u64 << 53) as f64;
-
-/// The exact integer threshold of probability `p`: `t(p) = ⌈p · 2⁵³⌉`,
-/// clamped to `[0, u64::MAX]`.
-///
-/// For every 53-bit `k`, `k < t(p)` holds exactly when `k · 2⁻⁵³ < p`:
-/// both `k · 2⁻⁵³` and `p · 2⁵³` are exact (scaling by a power of two), and
-/// an integer is below a real exactly when it is below the real's ceiling.
-/// Negative `p` gives 0 (never fires); `p ≥ 1` gives at least `2⁵³`
-/// (always fires).
-pub(crate) fn threshold(p: f64) -> u64 {
-    // `as` saturates: negative ceilings become 0, huge ones u64::MAX.
-    (p * TWO_POW_53).ceil() as u64
-}
 
 /// One Pauli fault site of a compiled cycle: a data qubit and the exact
 /// integer thresholds of its channel (see [`threshold`]'s contract).
@@ -364,7 +347,7 @@ where
                     let mut driver = ForcedFaults::new(sites.len(), &[]);
                     (0..shard.len)
                         .filter(|_| {
-                            sampler.sample_into(&mut || rng.gen::<f64>(), &mut subset);
+                            sampler.sample_into(|| rng.next_u64(), &mut subset);
                             hits.clear();
                             for &i in &subset {
                                 hits.push((i, sites[i].sample_variant(&mut rng)));
@@ -438,68 +421,6 @@ mod tests {
         }
         let flipped = driver.flip_site(0.03);
         x || flipped
-    }
-
-    /// The float comparison a uniform draw used to make: `k · 2⁻⁵³ < p`.
-    fn float_fires(k: u64, p: f64) -> bool {
-        (k as f64) * (1.0 / TWO_POW_53) < p
-    }
-
-    fn assert_threshold_exact(p: f64) {
-        let t = threshold(p);
-        let max_k = (1u64 << 53) - 1;
-        for k in [t.saturating_sub(1), t, t.saturating_add(1), 0, max_k] {
-            let k = k.min(max_k);
-            assert_eq!(k < t, float_fires(k, p), "p = {p:e}, k = {k}, t = {t}");
-        }
-    }
-
-    #[test]
-    fn thresholds_are_exact_at_edge_probabilities() {
-        let ulp = 1.0 / TWO_POW_53;
-        for p in [
-            0.0,
-            -0.0,
-            f64::MIN_POSITIVE,
-            5e-324,
-            ulp,
-            ulp * 1.5,
-            0.5 * ulp,
-            1.0 - ulp,
-            1.0,
-            1.5,
-            -1e-3,
-            -1.0,
-            f64::MAX,
-            f64::MIN,
-        ] {
-            assert_threshold_exact(p);
-        }
-        assert_eq!(threshold(0.0), 0);
-        assert_eq!(threshold(-1e-3), 0);
-        assert_eq!(threshold(5e-324), 1);
-        assert_eq!(threshold(ulp), 1);
-        assert_eq!(threshold(1.0 - ulp), (1 << 53) - 1);
-        assert_eq!(threshold(1.0), 1 << 53);
-    }
-
-    proptest::proptest! {
-        /// `k < t(p)` ⇔ `k · 2⁻⁵³ < p` for random `p`, at `k` on both
-        /// sides of the threshold and at a random 53-bit `k`.
-        #[test]
-        fn thresholds_match_float_comparison(
-            p in -0.5f64..1.5,
-            k in 0u64..(1 << 53),
-        ) {
-            assert_threshold_exact(p);
-            proptest::prop_assert_eq!(k < threshold(p), float_fires(k, p));
-        }
-
-        /// Tiny probabilities, where `p · 2⁵³` is below or near one.
-        #[test]
-        fn thresholds_are_exact_for_tiny_probabilities(scale in 0.0f64..4.0) {
-            assert_threshold_exact(scale / TWO_POW_53);
-        }
     }
 
     #[test]

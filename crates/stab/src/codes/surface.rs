@@ -12,12 +12,13 @@ use hetarch_exec::rare::{RareConfig, RareOutcome, StratifiedEstimator, StratumEv
 use hetarch_exec::{shard_seed, WorkerPool};
 use hetarch_obs as obs;
 
+use crate::bits::BitTable;
 use crate::circuit::{Circuit, PauliErr};
 use crate::codes::code::{typed_string, StabilizerCode};
 use crate::decoder::graph::MatchingGraph;
 use crate::decoder::greedy::GreedyMatchingDecoder;
 use crate::decoder::unionfind::UnionFindDecoder;
-use crate::detector::{assemble_detectors, sample_detectors_on, DetectorSamples};
+use crate::detector::{assemble_detectors, sample_detectors_on, DetectorSamples, SyndromeGroups};
 use crate::frame::{enumerate_at_weight, sample_at_weight, FaultModel};
 use crate::pauli::Pauli;
 
@@ -30,6 +31,10 @@ const DECODE_SHARD_SHOTS: usize = 1024;
 static SURFACE_SHOTS: obs::Counter = obs::Counter::new("stab.surface.shots");
 static SURFACE_FAILURES: obs::Counter = obs::Counter::new("stab.surface.failures");
 static SURFACE_RUN_NS: obs::Histogram = obs::Histogram::new("stab.surface.run_ns");
+/// Distinct non-empty syndromes decoded by the rare-event strata: one
+/// decode each, shared by every shot that produced it.
+static RARE_DISTINCT_SYNDROMES: obs::Counter =
+    obs::Counter::new("stab.surface.rare.distinct_syndromes");
 
 /// One stabilizer plaquette of the rotated lattice.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -273,10 +278,12 @@ pub enum MemoryBasis {
 
 /// A prebuilt decoder shared across decoding shards.
 ///
-/// Union-find decodes straight from the packed [`crate::bits::BitTable`]
-/// through a per-shard scratch arena (allocation-free across the shard's
-/// shots, with the all-zero-syndrome fast path); greedy matching keeps the
-/// dense per-shot path.
+/// The plain Monte Carlo decodes every shot ([`Self::count_failures`]):
+/// union-find straight from the packed [`BitTable`] through a per-shard
+/// scratch arena (allocation-free across the shard's shots, with the
+/// all-zero-syndrome fast path), greedy matching through a dense syndrome.
+/// The rare-event strata decode each distinct syndrome once
+/// ([`Self::predict_grouped`]).
 enum ShardDecoder {
     UnionFind(UnionFindDecoder),
     Greedy(GreedyMatchingDecoder),
@@ -316,39 +323,32 @@ impl ShardDecoder {
         }
     }
 
-    /// Reports every shot's failure bit to `on_shot(shot, failed)` — used
-    /// where failures carry per-shot weights (enumerated rare strata).
-    fn for_each_shot(
+    /// Predicts every shot's observable flip, decoding each distinct
+    /// syndrome of `groups` once — the rare-event strata, whose
+    /// low-weight shots repeat syndromes heavily.
+    fn predict_grouped(
         &self,
-        samples: &DetectorSamples,
-        start: usize,
-        len: usize,
-        mut on_shot: impl FnMut(usize, bool),
-    ) {
+        pool: &WorkerPool,
+        groups: &SyndromeGroups,
+        num_detectors: usize,
+    ) -> BitTable {
         match self {
-            ShardDecoder::UnionFind(uf) => {
-                let mut scratch = uf.new_scratch();
-                uf.decode_shots(
-                    &mut scratch,
-                    &samples.detectors,
-                    &samples.observables,
-                    0,
-                    start,
-                    len,
-                    on_shot,
-                );
-            }
-            ShardDecoder::Greedy(greedy) => {
-                let n_det = samples.detectors.rows();
-                let mut syndrome = vec![false; n_det];
-                for shot in start..start + len {
-                    for (d, s) in syndrome.iter_mut().enumerate() {
-                        *s = samples.detectors.get(d, shot);
+            ShardDecoder::UnionFind(uf) => groups.predict(
+                pool,
+                || uf.new_scratch(),
+                |scratch, defects| uf.decode_defects(scratch, defects) & 1 == 1,
+            ),
+            ShardDecoder::Greedy(greedy) => groups.predict(
+                pool,
+                || vec![false; num_detectors],
+                |syndrome, defects| {
+                    syndrome.fill(false);
+                    for &d in defects {
+                        syndrome[d as usize] = true;
                     }
-                    let predicted = greedy.decode(&syndrome) & 1 == 1;
-                    on_shot(shot, predicted != samples.observables.get(0, shot));
-                }
-            }
+                    greedy.decode(syndrome) & 1 == 1
+                },
+            ),
         }
     }
 }
@@ -741,16 +741,27 @@ impl SurfaceMemory {
         let prior = model.prior();
         let span = obs::span!(SURFACE_RUN_NS);
 
+        // One stratum's shots, decoded once per distinct syndrome: each
+        // shot's failure bit is whether its observable flip differs from
+        // its group's prediction.
+        let failed = |samples: &DetectorSamples| -> Vec<bool> {
+            let groups = SyndromeGroups::new(&samples.detectors);
+            RARE_DISTINCT_SYNDROMES.add(groups.num_decoded() as u64);
+            let predicted = decoder.predict_grouped(pool, &groups, samples.detectors.rows());
+            (0..samples.observables.shots())
+                .map(|shot| predicted.get(0, shot) != samples.observables.get(0, shot))
+                .collect()
+        };
         let outcome = StratifiedEstimator::new(&prior, config).run(|w| {
             match enumerate_at_weight(&circuit, &model, w, config.enumerate_threshold) {
                 Some((configs, frames)) => {
                     let samples = assemble_detectors(&circuit, &frames.meas_flips, configs.len());
                     let mut failure_probability = 0.0;
-                    decoder.for_each_shot(&samples, 0, configs.len(), |shot, failed| {
+                    for (config, failed) in configs.iter().zip(failed(&samples)) {
                         if failed {
-                            failure_probability += configs[shot].weight;
+                            failure_probability += config.weight;
                         }
-                    });
+                    }
                     StratumEval::Enumerated {
                         failure_probability,
                         configs: configs.len() as u64,
@@ -761,12 +772,7 @@ impl SurfaceMemory {
                     let stratum_seed = shard_seed(seed, w as u64);
                     let frames = sample_at_weight(&circuit, &model, w, shots, stratum_seed, pool);
                     let samples = assemble_detectors(&circuit, &frames.meas_flips, shots);
-                    let failures: u64 = pool
-                        .run_shards(shots, DECODE_SHARD_SHOTS, stratum_seed, |shard| {
-                            decoder.count_failures(&samples, shard.start, shard.len)
-                        })
-                        .into_iter()
-                        .sum();
+                    let failures = failed(&samples).into_iter().filter(|&f| f).count() as u64;
                     StratumEval::Sampled { failures, shots }
                 }
             }

@@ -32,6 +32,133 @@ impl DetectorSamples {
     }
 }
 
+/// Distinct syndromes per prediction shard of [`SyndromeGroups::predict`];
+/// fixed so shard boundaries never depend on the worker count.
+const GROUP_SHARD: usize = 256;
+
+/// The shots of a detector table grouped by syndrome, so that each
+/// distinct syndrome is decoded once (the rare-event strata, DESIGN.md
+/// §5h).
+///
+/// Each shot's syndrome is packed into a key of `⌈detectors / 64⌉` words
+/// (bit `d % 64` of word `d / 64` is detector `d`); the shot indices are
+/// sorted by key, so equal syndromes form contiguous groups, the empty
+/// syndrome (all-zero key) first.
+#[derive(Clone, Debug)]
+pub struct SyndromeGroups {
+    /// Words per key.
+    words: usize,
+    /// `keys[shot · words..][..words]`: the shot's packed syndrome.
+    keys: Vec<u64>,
+    /// Shot indices, sorted by key.
+    order: Vec<u32>,
+    /// Start of each group in `order`, then `order.len()`.
+    bounds: Vec<u32>,
+}
+
+impl SyndromeGroups {
+    /// Groups the shots of a `detectors × shots` table by syndrome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has more than `u32::MAX` shots.
+    pub fn new(detectors: &BitTable) -> Self {
+        let shots = detectors.shots();
+        assert!(u32::try_from(shots).is_ok(), "too many shots to group");
+        let words = detectors.rows().div_ceil(64);
+        let mut keys = vec![0u64; shots * words];
+        for row in 0..detectors.rows() {
+            let (word, bit) = (row / 64, 1u64 << (row % 64));
+            for shot in detectors.iter_ones(row) {
+                keys[shot * words + word] |= bit;
+            }
+        }
+        let key = |shot: u32| &keys[shot as usize * words..][..words];
+        let mut order: Vec<u32> = (0..shots as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        let mut bounds: Vec<u32> = (0..shots)
+            .filter(|&i| i == 0 || key(order[i - 1]) != key(order[i]))
+            .map(|i| i as u32)
+            .collect();
+        bounds.push(shots as u32);
+        SyndromeGroups {
+            words,
+            keys,
+            order,
+            bounds,
+        }
+    }
+
+    /// Number of distinct syndromes, the empty one included.
+    pub fn num_groups(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Number of distinct non-empty syndromes: the decodes
+    /// [`Self::predict`] makes.
+    pub fn num_decoded(&self) -> usize {
+        let empty_first = self.num_groups() > 0 && self.key(self.order[0]).iter().all(|&w| w == 0);
+        self.num_groups() - usize::from(empty_first)
+    }
+
+    /// The shots whose syndrome is group `g`'s, ascending by key order.
+    pub fn shots(&self, g: usize) -> &[u32] {
+        &self.order[self.bounds[g] as usize..self.bounds[g + 1] as usize]
+    }
+
+    /// Writes group `g`'s fired detectors into `out` (cleared first), in
+    /// ascending order — the order a dense syndrome scan produces.
+    pub fn defects_into(&self, g: usize, out: &mut Vec<u32>) {
+        out.clear();
+        let key = self.key(self.order[self.bounds[g] as usize]);
+        for (w, &word) in key.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Predicts every shot's observable flip: `decode(scratch, defects)`
+    /// runs once per distinct non-empty syndrome, and the empty syndrome
+    /// predicts no flip without a decode. Groups are sharded over `pool`
+    /// in fixed-size chunks, each with a fresh `new_scratch()`.
+    ///
+    /// `decode` must be a deterministic function of the defect list; the
+    /// returned `1 × shots` table is then identical for every worker count.
+    pub fn predict<S>(
+        &self,
+        pool: &WorkerPool,
+        new_scratch: impl Fn() -> S + Sync,
+        decode: impl Fn(&mut S, &[u32]) -> bool + Sync,
+    ) -> BitTable {
+        let flips = pool.run_shards(self.num_groups(), GROUP_SHARD, 0, |shard| {
+            let mut scratch = new_scratch();
+            let mut defects = Vec::new();
+            (shard.start..shard.start + shard.len)
+                .map(|g| {
+                    self.defects_into(g, &mut defects);
+                    !defects.is_empty() && decode(&mut scratch, &defects)
+                })
+                .collect::<Vec<bool>>()
+        });
+        let mut predicted = BitTable::new(1, self.order.len());
+        for (g, flip) in flips.into_iter().flatten().enumerate() {
+            if flip {
+                for &shot in self.shots(g) {
+                    predicted.set(0, shot as usize, true);
+                }
+            }
+        }
+        predicted
+    }
+
+    fn key(&self, shot: u32) -> &[u64] {
+        &self.keys[shot as usize * self.words..][..self.words]
+    }
+}
+
 /// Computes the noiseless reference measurement sample with the tableau
 /// simulator (random outcomes forced to zero, Stim's convention).
 pub fn reference_sample(circuit: &Circuit) -> Vec<bool> {

@@ -14,7 +14,7 @@
 use hetarch_exec::rare::{enumerate_configs, ConditionalSampler, FaultConfig, WeightPrior};
 use hetarch_exec::{shard_seed, WorkerPool};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::bits::BitTable;
 use crate::circuit::{Circuit, Gate1, Gate2, Instruction};
@@ -659,7 +659,7 @@ pub fn sample_at_weight(
         let mut site_hits: Vec<Vec<(u32, u8)>> = vec![Vec::new(); model.num_sites()];
         let mut subset = Vec::with_capacity(weight);
         for shot in 0..shard.len {
-            sampler.sample_into(&mut || rng.gen::<f64>(), &mut subset);
+            sampler.sample_into(|| rng.next_u64(), &mut subset);
             for &site in &subset {
                 let v = model.sample_variant(site, &mut rng);
                 site_hits[site].push((shot as u32, v));

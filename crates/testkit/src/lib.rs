@@ -31,6 +31,8 @@
 //! * [`uec_oracle`] — the direct reference builders of the UEC module's
 //!   lookup table, fault table and register assignment, against which the
 //!   production builders are differentially tested.
+//! * [`rare_oracle`] — the floating-point conditioned subset walk that the
+//!   rare-event sampler's integer thresholds must reproduce draw for draw.
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@ pub mod conformance;
 pub mod decoder;
 pub mod golden;
 pub mod oracle;
+pub mod rare_oracle;
 pub mod stats;
 pub mod uec_oracle;
 

@@ -5,9 +5,16 @@
 //! the same draws, as the floating-point sampling the shot bodies used
 //! before — kept as the oracle `uec_oracle::sample_pauli_into` — so that
 //! every seed's failure count is unchanged.
+//!
+//! The rare-event estimator's `ConditionalSampler` makes the same move for
+//! its conditioned subset walk (DESIGN.md §5h): it must return the same
+//! subset, from the same number of draws, as the floating-point walk kept
+//! as the oracle `rare_oracle::FloatConditionalSampler`.
 
+use hetarch::exec::rare::ConditionalSampler;
 use hetarch::modules::faults::{FaultDriver, PauliSite, RngFaults};
 use hetarch::prelude::*;
+use hetarch::testkit::rare_oracle::FloatConditionalSampler;
 use hetarch::testkit::uec_oracle::sample_pauli_into;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -110,4 +117,92 @@ fn mixed_pauli_and_flip_sites_stay_aligned() {
         assert_eq!(via_driver, direct);
     }
     assert_eq!(driver.into_inner().next_u64(), oracle.next_u64());
+}
+
+/// Draws `shots` weight-`weight` subsets of `probs` through the threshold
+/// walk and through the float oracle from the same seed; the subsets must
+/// agree shot by shot and the two streams must end aligned.
+fn assert_subsets_match(probs: &[f64], weight: usize, seed: u64, shots: usize) {
+    let sampler = ConditionalSampler::new(probs, weight);
+    let oracle = FloatConditionalSampler::new(probs, weight);
+    assert_eq!(
+        sampler.is_feasible(),
+        oracle.is_feasible(),
+        "{probs:?}, weight {weight}: feasibility differs"
+    );
+    if !sampler.is_feasible() {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut oracle_rng = StdRng::seed_from_u64(seed);
+    let (mut subset, mut expect) = (Vec::new(), Vec::new());
+    for shot in 0..shots {
+        sampler.sample_into(|| rng.next_u64(), &mut subset);
+        oracle.sample_into(&mut || oracle_rng.gen::<f64>(), &mut expect);
+        assert_eq!(
+            subset, expect,
+            "{probs:?}, weight {weight}, seed {seed}, shot {shot}"
+        );
+    }
+    assert_eq!(
+        rng.next_u64(),
+        oracle_rng.next_u64(),
+        "{probs:?}, weight {weight}, seed {seed}: streams diverged"
+    );
+}
+
+/// One site probability: ordinary, tiny, or one of the edge values the
+/// integer thresholds must get exactly right.
+fn site_probability() -> impl Strategy<Value = f64> {
+    let ulp = 1.0 / (1u64 << 53) as f64;
+    prop_oneof![
+        0.0f64..0.3,
+        1e-9f64..1e-3,
+        Just(0.0),
+        Just(1.0),
+        Just(5e-324),
+        Just(f64::MIN_POSITIVE / 2.0),
+        Just(ulp),
+        Just(1.0 - ulp),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96 })]
+
+    /// Random probability vectors mixing ordinary values with 0, 1 (forced
+    /// sites), subnormals, `2⁻⁵³` and `1 − 2⁻⁵³`, at every weight up to
+    /// `min(n, 8)`.
+    #[test]
+    fn threshold_walk_matches_float_walk(
+        probs in proptest::collection::vec(site_probability(), 1..40),
+        seed in 0u64..1_000_000,
+    ) {
+        for weight in 0..=probs.len().min(8) {
+            assert_subsets_match(&probs, weight, seed, 64);
+        }
+    }
+}
+
+#[test]
+fn threshold_walk_matches_float_walk_on_surface_sites() {
+    // The fault sites of the deep-subthreshold d=5 memory: 478 sites, at
+    // the weights the rare-event estimator samples.
+    let circuit = SurfaceMemory::new(
+        5,
+        2,
+        SurfaceNoise {
+            t_data: 10.0,
+            t_anc: 10.0,
+            p1: 2e-5,
+            p2: 2e-4,
+            p_meas: 1e-4,
+            ..SurfaceNoise::default()
+        },
+    )
+    .circuit();
+    let model = hetarch::stab::frame::FaultModel::from_circuit(&circuit);
+    for weight in 1..=6 {
+        assert_subsets_match(model.trigger_probs(), weight, 11 + weight as u64, 256);
+    }
 }

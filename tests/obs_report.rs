@@ -140,3 +140,65 @@ fn runtime_gate_off_records_nothing_and_results_match() {
     let on = uec_workload(&pool);
     assert_eq!(off, on, "instrumentation must not perturb results");
 }
+
+/// `stab.surface.rare.distinct_syndromes` counts the decodes the grouped
+/// rare-event strata make: the distinct non-empty syndromes of every
+/// evaluated stratum, recounted here from a per-stratum rebuild.
+#[test]
+fn rare_distinct_syndromes_counter_matches_recount() {
+    use std::collections::BTreeSet;
+
+    use hetarch::stab::detector::assemble_detectors;
+    use hetarch::stab::frame::{enumerate_at_weight, sample_at_weight, FaultModel};
+
+    let _guard = serialized();
+    obs::force_enabled(true);
+    obs::reset();
+    let memory = SurfaceMemory::new(5, 2, SurfaceNoise::default());
+    let config = RareConfig {
+        max_strata: 5,
+        rel_tol: 0.5,
+        shots_per_stratum: 512,
+        enumerate_threshold: 256,
+        ..RareConfig::default()
+    };
+    let seed = 3;
+    let pool = WorkerPool::new(2);
+    let report = memory
+        .logical_error_rate_rare_on(&pool, SurfaceDecoder::UnionFind, config, seed)
+        .into_report();
+    let counted = obs::report().counters["stab.surface.rare.distinct_syndromes"];
+
+    let circuit = memory.circuit();
+    let model = FaultModel::from_circuit(&circuit);
+    let mut recount = 0usize;
+    for stratum in report.strata.iter().filter(|s| s.prior > 0.0) {
+        let w = stratum.weight;
+        let (shots, frames) = if stratum.enumerated {
+            let (configs, frames) =
+                enumerate_at_weight(&circuit, &model, w, config.enumerate_threshold).unwrap();
+            (configs.len(), frames)
+        } else {
+            let frames = sample_at_weight(
+                &circuit,
+                &model,
+                w,
+                stratum.shots,
+                shard_seed(seed, w as u64),
+                &pool,
+            );
+            (stratum.shots, frames)
+        };
+        let samples = assemble_detectors(&circuit, &frames.meas_flips, shots);
+        let syndromes: BTreeSet<Vec<usize>> = (0..shots)
+            .map(|shot| {
+                (0..samples.detectors.rows())
+                    .filter(|&d| samples.detectors.get(d, shot))
+                    .collect()
+            })
+            .collect();
+        recount += syndromes.iter().filter(|s| !s.is_empty()).count();
+    }
+    assert!(recount > 0, "the run must decode something");
+    assert_eq!(counted, recount as u64);
+}
