@@ -438,6 +438,92 @@ fn distill_report_golden_is_bit_stable() {
     assert_golden(&golden_dir(), "distill_report", &first);
 }
 
+/// Plain surface-memory decoding at three points: the benchmark's d=7,
+/// 7-round memory under default noise, a d=5 X-basis memory with unequal
+/// data/ancilla coherence and readout error, and a 3-round d=3 memory at
+/// low noise. Each case pins the union-find and greedy failure counts and
+/// an FNV-1a digest of the union-find per-shot failure bits.
+fn surface_decode_snapshot(pool: &WorkerPool) -> Snapshot {
+    use hetarch::stab::codes::SurfaceDecoder;
+    use hetarch::stab::decoder::UnionFindDecoder;
+    use hetarch::stab::detector::sample_detectors_on;
+
+    let hetero = SurfaceNoise {
+        t_data: 0.3e-3,
+        t_anc: 0.08e-3,
+        p_meas: 2e-3,
+        ..SurfaceNoise::default()
+    };
+    let low = SurfaceNoise {
+        t_data: 1e-3,
+        t_anc: 1e-3,
+        p1: 2e-4,
+        p2: 2e-3,
+        ..SurfaceNoise::default()
+    };
+    let cases = [
+        (
+            "d7 z default",
+            SurfaceMemory::new(7, 7, SurfaceNoise::default()),
+            8192,
+            7,
+        ),
+        ("d5 x hetero", SurfaceMemory::new_x(5, 5, hetero), 4096, 11),
+        ("d3 z low", SurfaceMemory::new(3, 3, low), 4096, 13),
+    ];
+    let mut s = Snapshot::new(
+        "surface-memory decoding: union-find and greedy failure counts and an FNV-1a \
+         digest of the union-find per-shot failure bits",
+    );
+    for (name, memory, shots, seed) in cases {
+        let failures = |which| {
+            let (rate, _) = memory.logical_error_rate_on(pool, which, shots, seed);
+            (rate * shots as f64).round() as u64
+        };
+        let circuit = memory.circuit();
+        let samples = sample_detectors_on(pool, &circuit, shots, seed);
+        let uf = UnionFindDecoder::new(&memory.matching_graph());
+        let mut scratch = uf.new_scratch();
+        let (mut digest, mut failed_shots) = (0xcbf2_9ce4_8422_2325u64, 0u64);
+        uf.decode_shots(
+            &mut scratch,
+            &samples.detectors,
+            &samples.observables,
+            0,
+            0,
+            shots,
+            |_, failed| {
+                digest = (digest ^ u64::from(failed)).wrapping_mul(0x0100_0000_01b3);
+                failed_shots += u64::from(failed);
+            },
+        );
+        let uf_failures = failures(SurfaceDecoder::UnionFind);
+        assert_eq!(
+            failed_shots, uf_failures,
+            "{name}: batch and sharded counts"
+        );
+        s.section(name);
+        s.field("shots", shots)
+            .field("seed", seed)
+            .field("union_find_failures", uf_failures)
+            .field("greedy_failures", failures(SurfaceDecoder::GreedyMatching))
+            .field("union_find_digest", format!("{digest:016x}"));
+    }
+    s
+}
+
+#[test]
+fn surface_decode_golden_is_worker_count_invariant() {
+    let single = surface_decode_snapshot(&WorkerPool::new(1));
+    let eight = surface_decode_snapshot(&WorkerPool::new(8));
+    assert_eq!(
+        single.render(),
+        eight.render(),
+        "surface decoding must not depend on the worker count"
+    );
+    assert_golden(&golden_dir(), "surface_decode", &single);
+}
+
 /// Calibration-snapshot sweep golden: the committed fleet fixture drives a
 /// `calib_sweep` through the exact serve evaluation path, side by side with
 /// the uncalibrated sweep over the same axes. Pins (a) the strict schema

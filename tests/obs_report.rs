@@ -202,3 +202,43 @@ fn rare_distinct_syndromes_counter_matches_recount() {
     assert!(recount > 0, "the run must decode something");
     assert_eq!(counted, recount as u64);
 }
+
+/// The decoder counters of a fixed d=7 `count_failures` batch read exactly
+/// these values. They depend only on the final cluster partition of every
+/// growth pass, not on the order of work inside a pass, so a rewrite of the
+/// growth phase that keeps predictions must keep them too.
+#[test]
+fn decoder_counters_are_pinned_on_a_d7_batch() {
+    use hetarch::stab::decoder::UnionFindDecoder;
+    use hetarch::stab::detector::sample_detectors_on;
+
+    let _guard = serialized();
+    obs::force_enabled(true);
+    let memory = SurfaceMemory::new(7, 7, SurfaceNoise::default());
+    let circuit = memory.circuit();
+    let shots = 1024;
+    let samples = sample_detectors_on(&WorkerPool::new(1), &circuit, shots, 7);
+    let uf = UnionFindDecoder::new(&memory.matching_graph());
+    let mut scratch = uf.new_scratch();
+    obs::reset();
+    let failures = uf.count_failures(
+        &mut scratch,
+        &samples.detectors,
+        &samples.observables,
+        0,
+        0,
+        shots,
+    );
+    let counters = obs::report().counters;
+    let read = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let got = [
+        failures,
+        read("stab.decoder.decodes"),
+        read("stab.decoder.empty_fast_path"),
+        read("stab.decoder.growth_passes"),
+        read("stab.decoder.unions"),
+        read("stab.decoder.peel_discharges"),
+        read("stab.decoder.peel_leaks"),
+    ];
+    assert_eq!(got, [96, 1024, 0, 6343, 31423, 11797, 0]);
+}
