@@ -11,13 +11,12 @@
 //!
 //! The production path decodes through a reusable [`DecoderScratch`]: all
 //! per-shot state lives in flat arrays sized once per graph, reset sparsely
-//! via epoch stamps (O(touched nodes), not O(n)), with intrusive-list
-//! frontiers carved out of a per-shot cell pool so cluster growth and
-//! unions never allocate. Shard loops decode straight from the packed
-//! [`BitTable`] via [`UnionFindDecoder::count_failures`] /
-//! [`UnionFindDecoder::decode_shots`], which extract sparse defect lists
-//! with `trailing_zeros` over 64-bit words and skip all-zero syndromes
-//! entirely.
+//! via epoch stamps, and clusters keep intrusive lists of their growing
+//! member nodes, so growth and unions never allocate. Shard loops decode
+//! straight from the packed [`BitTable`] via
+//! [`UnionFindDecoder::count_failures`] / [`UnionFindDecoder::decode_shots`],
+//! which extract sparse defect lists with `trailing_zeros` over 64-bit
+//! words and skip all-zero syndromes entirely.
 //!
 //! Predictions are **bit-identical** to the original per-shot decoder,
 //! which is kept verbatim as [`UnionFindDecoder::decode_reference`] and
@@ -38,7 +37,7 @@ static PEEL_DISCHARGES: obs::Counter = obs::Counter::new("stab.decoder.peel_disc
 static PEEL_LEAKS: obs::Counter = obs::Counter::new("stab.decoder.peel_leaks");
 static DECODE_NS: obs::Histogram = obs::Histogram::new("stab.decode_ns");
 
-/// Empty link in the intrusive frontier lists.
+/// Empty link in the intrusive member lists.
 const NIL: u32 = u32::MAX;
 /// Boundary sentinel in the edge endpoint array.
 const NO_NODE: u32 = u32::MAX;
@@ -125,16 +124,12 @@ impl UnionFindDecoder {
         self.lengths.len()
     }
 
-    /// Allocates a scratch arena sized for this decoder's graph. The pool
+    /// Allocates a scratch arena sized for this decoder's graph. The list
     /// capacities are reserved to their worst-case bounds up front, so
     /// every subsequent decode through this scratch is allocation-free.
     pub fn new_scratch(&self) -> DecoderScratch {
         let n = self.num_nodes;
         let m = self.lengths.len();
-        // Frontier cells are pushed at most once per (defect, incident
-        // edge) at init and once per (visited node, incident edge) during
-        // expansion: 2x the flat incidence count bounds the pool.
-        let pool_cap = 2 * self.adjacency.num_incidences();
         DecoderScratch {
             num_nodes: n,
             num_edges: m,
@@ -143,14 +138,9 @@ impl UnionFindDecoder {
             node_epoch: vec![0; n],
             nodes: vec![NodeScratch::default(); n],
             pass_seen: vec![0; n],
-            edge_epoch: vec![0; m],
-            support: vec![0; m],
-            grown: vec![false; m],
-            pool_edge: Vec::with_capacity(pool_cap),
-            pool_next: Vec::with_capacity(pool_cap),
+            edges: vec![(0, 0); m],
             defects: Vec::with_capacity(n),
             candidates: Vec::with_capacity(2 * n),
-            pass_roots: Vec::with_capacity(n),
             newly_grown: Vec::with_capacity(m),
             grown_boundary: Vec::with_capacity(m),
             order: Vec::with_capacity(n),
@@ -185,11 +175,8 @@ impl UnionFindDecoder {
         assert_eq!(syndrome.len(), self.num_nodes, "syndrome length mismatch");
         scratch.check_shape(self.num_nodes, self.lengths.len());
         scratch.defects.clear();
-        for (v, &s) in syndrome.iter().enumerate() {
-            if s {
-                scratch.defects.push(v as u32);
-            }
-        }
+        let set = (0u32..).zip(syndrome).filter_map(|(v, &s)| s.then_some(v));
+        scratch.defects.extend(set);
         self.decode_current(scratch)
     }
 
@@ -198,10 +185,18 @@ impl UnionFindDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if the scratch shape mismatches; defect ordering is checked
-    /// by `debug_assert` only.
+    /// Panics if the scratch shape mismatches or `defects` is not strictly
+    /// ascending and in range (a duplicate or out-of-order defect would
+    /// silently change growth).
     pub fn decode_defects(&self, scratch: &mut DecoderScratch, defects: &[u32]) -> u64 {
         scratch.check_shape(self.num_nodes, self.lengths.len());
+        let in_range = defects
+            .last()
+            .is_none_or(|&v| (v as usize) < self.num_nodes);
+        assert!(
+            in_range && defects.windows(2).all(|w| w[0] < w[1]),
+            "defect list must be strictly ascending and in range"
+        );
         scratch.defects.clear();
         scratch.defects.extend_from_slice(defects);
         self.decode_current(scratch)
@@ -338,128 +333,74 @@ impl UnionFindDecoder {
         }
         DECODES.add(1);
         scratch.begin_shot();
-        // Defect init mirrors the reference's two ascending passes over the
-        // dense syndrome: parities first, then frontier lists in incident
-        // (ascending-edge) order.
         for i in 0..scratch.defects.len() {
             let v = scratch.defects[i] as usize;
-            debug_assert!(
-                v < self.num_nodes && (i == 0 || scratch.defects[i - 1] < scratch.defects[i]),
-                "defect list must be strictly ascending and in range"
-            );
             scratch.touch_node(v);
             scratch.nodes[v].parity = 1;
             scratch.nodes[v].flags |= F_MARKED;
-        }
-        for i in 0..scratch.defects.len() {
-            let v = scratch.defects[i] as usize;
-            for &e in self.adjacency.incident(v) {
-                scratch.frontier_push(v, e);
-            }
+            scratch.member_push(v, v);
         }
         self.grow(scratch);
         self.peel(scratch)
     }
 
     /// Cluster growth until every cluster is neutral (even parity or
-    /// touching the boundary).
-    ///
-    /// The per-pass active set is maintained as a worklist instead of an
-    /// O(n) scan: candidates are the initial defects plus every union
-    /// survivor; each pass maps them through `find`, dedupes with a pass
-    /// stamp, and sorts — reproducing the reference's ascending-root order
-    /// exactly. A pass that makes no progress (every frontier empty or
-    /// fully grown) marks the scratch `stalled` and stops instead of
-    /// spinning, which can only happen on degenerate graphs where an
-    /// odd-parity cluster has no path to a boundary.
+    /// touching the boundary). Each pass, every non-grown edge gains
+    /// `rate(x) = [x is a defect] + [x was visited]` from each endpoint `x`
+    /// in an active (odd, boundary-free) cluster; the grown set, and so the
+    /// prediction, does not depend on the order of work inside a pass.
+    /// Active roots come unsorted off a worklist (defects plus union
+    /// survivors, deduplicated by a pass stamp). A pass without progress
+    /// (an odd cluster with no path to a boundary) sets `stalled` and stops.
     fn grow(&self, scratch: &mut DecoderScratch) {
-        let mut passes = 0u64;
+        // Passes 1..=k0 run as one in which members add `k0` times their
+        // rate; none of the first `k0 - 1` grows an edge. All are counted.
+        let k0 = self.first_growing_pass(scratch);
+        let mut boost = k0;
+        let mut passes = u64::from(k0 - 1);
         let mut unions = 0u64;
         scratch.candidates.clear();
         scratch.candidates.extend_from_slice(&scratch.defects);
         loop {
             passes += 1;
             scratch.pass_id += 1;
-            scratch.pass_roots.clear();
+            let mut active = 0;
             for i in 0..scratch.candidates.len() {
-                let c = scratch.candidates[i] as usize;
-                let r = scratch.find(c);
+                let r = scratch.find(scratch.candidates[i] as usize);
                 if scratch.pass_seen[r] == scratch.pass_id {
                     continue;
                 }
                 scratch.pass_seen[r] = scratch.pass_id;
                 let node = &scratch.nodes[r];
                 if node.parity % 2 == 1 && node.flags & F_BOUNDARY == 0 {
-                    scratch.pass_roots.push(r as u32);
+                    scratch.candidates[active] = r as u32;
+                    active += 1;
                 }
             }
-            if scratch.pass_roots.is_empty() {
+            if active == 0 {
                 break;
             }
-            scratch.pass_roots.sort_unstable();
-            scratch.candidates.clear();
-            scratch.candidates.extend_from_slice(&scratch.pass_roots);
+            scratch.candidates.truncate(active);
             scratch.newly_grown.clear();
             let mut progressed = false;
-            for i in 0..scratch.pass_roots.len() {
-                // Re-fetch root (it may have been merged earlier this pass).
-                let root = scratch.find(scratch.pass_roots[i] as usize);
-                if scratch.nodes[root].parity.is_multiple_of(2)
-                    || scratch.nodes[root].flags & F_BOUNDARY != 0
-                {
-                    continue;
-                }
-                // Take this root's frontier list; surviving cells are
-                // relinked in place, so growth never allocates.
-                let mut cur = scratch.nodes[root].f_head;
-                scratch.nodes[root].f_head = NIL;
-                scratch.nodes[root].f_tail = NIL;
-                scratch.nodes[root].f_len = 0;
-                while cur != NIL {
-                    let next = scratch.pool_next[cur as usize];
-                    let ei = scratch.pool_edge[cur as usize] as usize;
-                    scratch.touch_edge(ei);
-                    if !scratch.grown[ei] {
-                        progressed = true;
-                        scratch.support[ei] += 1;
-                        if scratch.support[ei] >= self.lengths[ei] {
-                            scratch.grown[ei] = true;
-                            scratch.newly_grown.push(ei as u32);
-                        } else {
-                            scratch.pool_next[cur as usize] = NIL;
-                            scratch.frontier_link(root, cur);
-                        }
-                    }
-                    cur = next;
-                }
+            for i in 0..active {
+                let root = scratch.candidates[i] as usize;
+                progressed |= self.grow_cluster(scratch, root, boost);
             }
+            boost = 1;
             for i in 0..scratch.newly_grown.len() {
                 let ei = scratch.newly_grown[i] as usize;
                 let u = self.edge_u[ei] as usize;
-                let ru = scratch.find(u);
                 let v = self.edge_v[ei];
                 if v == NO_NODE {
+                    let ru = scratch.find(u);
                     scratch.nodes[ru].flags |= F_BOUNDARY;
                     scratch.grown_boundary.push(ei as u32);
                 } else {
-                    let rv = scratch.find(v as usize);
-                    // Expand the frontier of whichever side is new.
-                    for node in [u, v as usize] {
-                        let r = scratch.find(node);
-                        if scratch.nodes[node].flags & F_VISITED == 0 {
-                            scratch.nodes[node].flags |= F_VISITED;
-                            for &x in self.adjacency.incident(node) {
-                                scratch.touch_edge(x as usize);
-                                if !scratch.grown[x as usize] {
-                                    scratch.frontier_push(r, x);
-                                }
-                            }
-                        }
-                    }
-                    if ru != rv {
-                        scratch.union(ru, rv);
-                        unions += 1;
-                    }
+                    let (root, merged) = scratch.union(u, v as usize);
+                    unions += u64::from(merged);
+                    scratch.visit(u, root);
+                    scratch.visit(v as usize, root);
                 }
             }
             if !progressed {
@@ -469,6 +410,50 @@ impl UnionFindDecoder {
         }
         GROWTH_PASSES.add(passes);
         UNIONS.add(unions);
+    }
+
+    /// One pass of one active cluster: every member adds `boost` times its
+    /// rate to each non-grown incident edge; members left with no such
+    /// edge drop out of the list. Returns whether any edge gained support.
+    fn grow_cluster(&self, scratch: &mut DecoderScratch, root: usize, boost: u32) -> bool {
+        let mut progressed = false;
+        let mut cur = std::mem::replace(&mut scratch.nodes[root].m_head, NIL);
+        scratch.nodes[root].m_tail = NIL;
+        while cur != NIL {
+            let x = cur as usize;
+            cur = scratch.nodes[x].m_next;
+            let flags = scratch.nodes[x].flags;
+            let rate =
+                (u32::from(flags & F_MARKED != 0) + u32::from(flags & F_VISITED != 0)) * boost;
+            let mut open = false;
+            for &e in self.adjacency.incident(x) {
+                let left = scratch.remaining(e as usize, &self.lengths);
+                if *left != 0 {
+                    progressed = true;
+                    *left = left.saturating_sub(rate);
+                    if *left == 0 {
+                        scratch.newly_grown.push(e);
+                    } else {
+                        open = true;
+                    }
+                }
+            }
+            if open {
+                scratch.member_push(root, x);
+            }
+        }
+        progressed
+    }
+
+    /// The first pass in which an edge can grow. Until then every defect
+    /// is its own active cluster and each defect-incident edge gains `c`
+    /// (its number of defect endpoints) per pass, so that pass is
+    /// `k0 = min ⌈len/c⌉` over those edges (1 if there are none).
+    fn first_growing_pass(&self, scratch: &DecoderScratch) -> u32 {
+        let defects = scratch.defects.iter();
+        let incident = defects.flat_map(|&v| self.adjacency.incident(v as usize));
+        let k = incident.map(|&e| self.lengths[e as usize].div_ceil(scratch.defect_ends(self, e)));
+        k.min().unwrap_or(1)
     }
 
     /// Peeling: build a spanning forest of grown edges inside each cluster
@@ -501,20 +486,11 @@ impl UnionFindDecoder {
                 qhead += 1;
                 scratch.order.push(u as u32);
                 for &ei in self.adjacency.incident(u) {
-                    let e = ei as usize;
-                    scratch.touch_edge(e);
-                    if !scratch.grown[e] {
+                    let (e, v) = (ei as usize, self.edge_v[ei as usize]);
+                    if v == NO_NODE || *scratch.remaining(e, &self.lengths) != 0 {
                         continue;
                     }
-                    let v = self.edge_v[e];
-                    if v == NO_NODE {
-                        continue;
-                    }
-                    let other = if self.edge_u[e] as usize == u {
-                        v as usize
-                    } else {
-                        self.edge_u[e] as usize
-                    };
+                    let other = (self.edge_u[e] ^ v) as usize ^ u;
                     scratch.touch_node(other);
                     if scratch.nodes[other].flags & F_PEEL_VISITED == 0 {
                         scratch.nodes[other].flags |= F_PEEL_VISITED;
@@ -524,20 +500,17 @@ impl UnionFindDecoder {
                     }
                 }
             }
-            let mut seeded = false;
-            while defect_ptr < scratch.defects.len() {
-                let v = scratch.defects[defect_ptr] as usize;
-                if scratch.nodes[v].flags & F_PEEL_VISITED == 0 {
-                    scratch.nodes[v].flags |= F_PEEL_VISITED;
-                    scratch.queue.push(v as u32);
-                    seeded = true;
+            while let Some(&v) = scratch.defects.get(defect_ptr) {
+                if scratch.nodes[v as usize].flags & F_PEEL_VISITED == 0 {
                     break;
                 }
                 defect_ptr += 1;
             }
-            if !seeded {
+            let Some(&v) = scratch.defects.get(defect_ptr) else {
                 break;
-            }
+            };
+            scratch.nodes[v as usize].flags |= F_PEEL_VISITED;
+            scratch.queue.push(v);
         }
 
         let mut obs_mask = 0u64;
@@ -755,12 +728,7 @@ impl UnionFindDecoder {
 #[inline]
 fn lane_mask(lo: usize, count: usize) -> u64 {
     debug_assert!(lo + count <= 64 && count > 0);
-    let full = if count == 64 {
-        u64::MAX
-    } else {
-        (1u64 << count) - 1
-    };
-    full << lo
+    (u64::MAX >> (64 - count)) << lo
 }
 
 /// Per-node decode state, reset lazily by epoch stamp.
@@ -768,10 +736,12 @@ fn lane_mask(lo: usize, count: usize) -> u64 {
 struct NodeScratch {
     parent: u32,
     parity: u32,
-    /// Intrusive frontier list head/tail/length (cells in the scratch pool).
-    f_head: u32,
-    f_tail: u32,
-    f_len: u32,
+    /// Cluster node count (meaningful at roots; unions go by size).
+    size: u32,
+    /// Growing-member list: head and tail at roots, next link at members.
+    m_head: u32,
+    m_tail: u32,
+    m_next: u32,
     peel_parent_node: u32,
     peel_parent_edge: u32,
     flags: u8,
@@ -793,17 +763,14 @@ pub struct DecoderScratch {
     node_epoch: Vec<u32>,
     nodes: Vec<NodeScratch>,
     pass_seen: Vec<u64>,
-    edge_epoch: Vec<u32>,
-    support: Vec<u32>,
-    grown: Vec<bool>,
-    /// Frontier cell pool: edge payload + next link, cleared per shot.
-    pool_edge: Vec<u32>,
-    pool_next: Vec<u32>,
+    /// Per edge `(epoch, remaining)`: the length still to grow (0 once
+    /// grown), valid only when stamped with the current epoch.
+    edges: Vec<(u32, u32)>,
     /// Staged defect list (strictly ascending detector indices).
     defects: Vec<u32>,
-    /// Growth worklist: initial defects plus union survivors.
+    /// Growth worklist: initial defects plus union survivors, compacted to
+    /// the active roots at the start of each pass.
     candidates: Vec<u32>,
-    pass_roots: Vec<u32>,
     newly_grown: Vec<u32>,
     grown_boundary: Vec<u32>,
     order: Vec<u32>,
@@ -833,17 +800,14 @@ impl DecoderScratch {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.node_epoch.fill(u32::MAX);
-            self.edge_epoch.fill(u32::MAX);
+            self.edges.fill((u32::MAX, 0));
             self.epoch = 1;
         }
-        self.pool_edge.clear();
-        self.pool_next.clear();
         self.newly_grown.clear();
         self.grown_boundary.clear();
         self.order.clear();
         self.queue.clear();
         self.candidates.clear();
-        self.pass_roots.clear();
         self.stalled = false;
     }
 
@@ -854,25 +818,25 @@ impl DecoderScratch {
             self.node_epoch[v] = self.epoch;
             self.nodes[v] = NodeScratch {
                 parent: v as u32,
-                parity: 0,
-                f_head: NIL,
-                f_tail: NIL,
-                f_len: 0,
+                size: 1,
+                m_head: NIL,
+                m_tail: NIL,
+                m_next: NIL,
                 peel_parent_node: PEEL_NONE,
-                peel_parent_edge: 0,
-                flags: 0,
+                ..NodeScratch::default()
             };
         }
     }
 
-    /// Lazily resets edge `e` if it was last touched in an older shot.
+    /// Length edge `e` has still to grow (0 once grown), lazily reset to
+    /// its full length if it was last touched in an older shot.
     #[inline]
-    fn touch_edge(&mut self, e: usize) {
-        if self.edge_epoch[e] != self.epoch {
-            self.edge_epoch[e] = self.epoch;
-            self.support[e] = 0;
-            self.grown[e] = false;
+    fn remaining(&mut self, e: usize, lengths: &[u32]) -> &mut u32 {
+        let edge = &mut self.edges[e];
+        if edge.0 != self.epoch {
+            *edge = (self.epoch, lengths[e]);
         }
+        &mut edge.1
     }
 
     fn find(&mut self, v: usize) -> usize {
@@ -890,66 +854,71 @@ impl DecoderScratch {
         root
     }
 
-    /// Appends a new frontier cell for `edge` to `root`'s list.
-    fn frontier_push(&mut self, root: usize, edge: u32) {
-        let cell = self.pool_edge.len() as u32;
-        self.pool_edge.push(edge);
-        self.pool_next.push(NIL);
-        self.frontier_link(root, cell);
+    /// Number of defect endpoints of edge `e` (valid before peeling).
+    fn defect_ends(&self, dec: &UnionFindDecoder, e: u32) -> u32 {
+        let e = e as usize;
+        let is_defect = |v: u32| {
+            v != NO_NODE
+                && self.node_epoch[v as usize] == self.epoch
+                && self.nodes[v as usize].flags & F_MARKED != 0
+        };
+        u32::from(is_defect(dec.edge_u[e])) + u32::from(is_defect(dec.edge_v[e]))
     }
 
-    /// Links an existing (detached) cell at the tail of `root`'s list.
+    /// Appends node `x` to `root`'s member list.
     #[inline]
-    fn frontier_link(&mut self, root: usize, cell: u32) {
-        let tail = self.nodes[root].f_tail;
-        if tail == NIL {
-            self.nodes[root].f_head = cell;
-        } else {
-            self.pool_next[tail as usize] = cell;
-        }
-        self.nodes[root].f_tail = cell;
-        self.nodes[root].f_len += 1;
+    fn member_push(&mut self, root: usize, x: usize) {
+        self.nodes[x].m_next = NIL;
+        self.splice(root, x as u32, x as u32);
     }
 
-    /// Union with the reference tie-break: the root with the longer
-    /// frontier absorbs the other (ties go to the first argument), and the
-    /// frontier lists concatenate big-then-small — the element order the
-    /// reference's `Vec::extend` produced. The survivor goes back on the
-    /// growth worklist.
-    fn union(&mut self, a: usize, b: usize) {
+    /// Appends the NIL-terminated member chain `head..=tail` to `root`'s.
+    #[inline]
+    fn splice(&mut self, root: usize, head: u32, tail: u32) {
+        match self.nodes[root].m_tail {
+            NIL => self.nodes[root].m_head = head,
+            t => self.nodes[t as usize].m_next = head,
+        }
+        self.nodes[root].m_tail = tail;
+    }
+
+    /// Marks `x`, an endpoint of a grown inner edge in cluster `r`, visited:
+    /// a non-defect joins the member list with rate 1, a defect (already
+    /// listed) goes to rate 2.
+    fn visit(&mut self, x: usize, r: usize) {
+        let flags = self.nodes[x].flags;
+        if flags & F_VISITED == 0 {
+            self.nodes[x].flags |= F_VISITED;
+            if flags & F_MARKED == 0 {
+                self.member_push(r, x);
+            }
+        }
+    }
+
+    /// Union by size: member lists concatenate, parities add, and the
+    /// boundary flag propagates. The survivor goes back on the growth
+    /// worklist. Returns the joint root and whether two clusters merged.
+    fn union(&mut self, a: usize, b: usize) -> (usize, bool) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
-            return;
+            return (ra, false);
         }
-        // Merge smaller frontier into larger.
-        let (big, small) = if self.nodes[ra].f_len >= self.nodes[rb].f_len {
+        let (big, small) = if self.nodes[ra].size >= self.nodes[rb].size {
             (ra, rb)
         } else {
             (rb, ra)
         };
+        let small_node = self.nodes[small];
         self.nodes[small].parent = big as u32;
-        let (s_head, s_tail, s_len) = (
-            self.nodes[small].f_head,
-            self.nodes[small].f_tail,
-            self.nodes[small].f_len,
-        );
-        if s_len > 0 {
-            let b_tail = self.nodes[big].f_tail;
-            if b_tail == NIL {
-                self.nodes[big].f_head = s_head;
-            } else {
-                self.pool_next[b_tail as usize] = s_head;
-            }
-            self.nodes[big].f_tail = s_tail;
-            self.nodes[big].f_len += s_len;
-            self.nodes[small].f_head = NIL;
-            self.nodes[small].f_tail = NIL;
-            self.nodes[small].f_len = 0;
+        if small_node.m_head != NIL {
+            self.splice(big, small_node.m_head, small_node.m_tail);
         }
-        self.nodes[big].parity += self.nodes[small].parity;
-        self.nodes[big].flags |= self.nodes[small].flags & F_BOUNDARY;
+        self.nodes[big].size += small_node.size;
+        self.nodes[big].parity += small_node.parity;
+        self.nodes[big].flags |= small_node.flags & F_BOUNDARY;
         self.candidates.push(big as u32);
+        (big, true)
     }
 }
 
@@ -1052,16 +1021,14 @@ mod tests {
 
     #[test]
     fn empty_syndrome_decodes_to_identity() {
-        let g = strip(5, 0.1);
-        let dec = UnionFindDecoder::new(&g);
+        let dec = UnionFindDecoder::new(&strip(5, 0.1));
         assert_eq!(dec.decode(&[false; 4]), 0);
     }
 
     #[test]
     fn single_errors_are_corrected() {
         let d = 7;
-        let g = strip(d, 0.05);
-        let dec = UnionFindDecoder::new(&g);
+        let dec = UnionFindDecoder::new(&strip(d, 0.05));
         for e in 0..d {
             let (syn, obs) = apply_errors(d, &[e]);
             assert_eq!(dec.decode(&syn), obs, "error on edge {e}");
@@ -1071,8 +1038,7 @@ mod tests {
     #[test]
     fn correctable_double_errors() {
         let d = 9;
-        let g = strip(d, 0.05);
-        let dec = UnionFindDecoder::new(&g);
+        let dec = UnionFindDecoder::new(&strip(d, 0.05));
         for a in 0..d {
             for b in (a + 1)..d {
                 let (syn, obs) = apply_errors(d, &[a, b]);
@@ -1090,8 +1056,7 @@ mod tests {
         // complementary (weight-4) correction and report a logical flip
         // relative to the actual error.
         let d = 9;
-        let g = strip(d, 0.05);
-        let dec = UnionFindDecoder::new(&g);
+        let dec = UnionFindDecoder::new(&strip(d, 0.05));
         let errs: Vec<usize> = (0..5).collect();
         let (syn, obs) = apply_errors(d, &errs);
         let pred = dec.decode(&syn);
@@ -1146,8 +1111,7 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_reference_on_strip() {
         let d = 9;
-        let g = strip(d, 0.05);
-        let dec = UnionFindDecoder::new(&g);
+        let dec = UnionFindDecoder::new(&strip(d, 0.05));
         let mut scratch = dec.new_scratch();
         // Every 1- and 2-error pattern, decoded through ONE reused scratch,
         // must match the pristine reference decoder bit for bit.
@@ -1166,28 +1130,20 @@ mod tests {
 
     #[test]
     fn decode_defects_matches_dense_path() {
-        let d = 9;
-        let g = strip(d, 0.05);
-        let dec = UnionFindDecoder::new(&g);
-        let mut scratch = dec.new_scratch();
-        let (syn, _) = apply_errors(d, &[2, 5]);
-        let defects: Vec<u32> = syn
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(v, _)| v as u32)
-            .collect();
+        let dec = UnionFindDecoder::new(&strip(9, 0.05));
+        let (syn, _) = apply_errors(9, &[2, 5]);
+        let defects: Vec<u32> = (0..8).filter(|&v| syn[v as usize]).collect();
+        let expected = dec.decode_reference(&syn);
         assert_eq!(
-            dec.decode_defects(&mut scratch, &defects),
-            dec.decode_reference(&syn)
+            dec.decode_defects(&mut dec.new_scratch(), &defects),
+            expected
         );
     }
 
     #[test]
     fn batch_count_failures_matches_per_shot() {
         let d = 9;
-        let g = strip(d, 0.05);
-        let dec = UnionFindDecoder::new(&g);
+        let dec = UnionFindDecoder::new(&strip(d, 0.05));
         let n = d - 1;
         // 130 shots spanning three word blocks, each a pseudo-random error
         // pattern; observables carry the TRUE obs so a failure means the
@@ -1241,6 +1197,40 @@ mod tests {
         );
     }
 
+    /// A decoder over `edges` as `(u, v, obs, growth length)`.
+    fn with_lengths(n: usize, edges: &[(u32, Option<u32>, u64, u32)]) -> UnionFindDecoder {
+        let mut g = MatchingGraph::new(n);
+        for &(u, v, obs, _) in edges {
+            g.add_edge(u, v, 0.1, obs);
+        }
+        let mut dec = UnionFindDecoder::new(&g);
+        dec.lengths = edges.iter().map(|e| e.3).collect();
+        dec
+    }
+
+    /// Length each edge has left to grow after the last decode.
+    fn remaining(dec: &UnionFindDecoder, scratch: &mut DecoderScratch) -> Vec<u32> {
+        (0..dec.num_edges())
+            .map(|e| *scratch.remaining(e, &dec.lengths))
+            .collect()
+    }
+
+    #[test]
+    fn leading_pass_skip_leaves_pass_by_pass_support() {
+        // A defect pair on an odd-length edge (c = 2): the pair edge grows
+        // in pass ⌈5/2⌉ = 3, by when each boundary edge holds 3 of its 12.
+        let dec = with_lengths(2, &[(0, Some(1), 1, 5), (0, None, 0, 12), (1, None, 0, 12)]);
+        let mut scratch = dec.new_scratch();
+        assert_eq!(dec.decode_with(&mut scratch, &[true, true]), 1);
+        assert_eq!(remaining(&dec, &mut scratch), [0, 9, 9]);
+        assert_eq!(dec.decode_reference(&[true, true]), 1);
+        // A defect next to a length-1 boundary edge: nothing to skip.
+        let dec = with_lengths(2, &[(0, None, 1, 1), (0, Some(1), 0, 6), (1, None, 0, 6)]);
+        assert_eq!(dec.decode_with(&mut scratch, &[true, false]), 1);
+        assert_eq!(remaining(&dec, &mut scratch), [0, 5, 6]);
+        assert_eq!(dec.decode_reference(&[true, false]), 1);
+    }
+
     #[test]
     fn stalled_growth_terminates_on_degenerate_graphs() {
         // A defect on a node with no incident edges: the reference decoder
@@ -1258,5 +1248,13 @@ mod tests {
         assert_eq!(dec.decode_with(&mut scratch, &[false, false, true]), 0);
         // The scratch remains healthy after a stalled shot.
         assert_eq!(dec.decode_with(&mut scratch, &[true, true, false]), 1);
+        // An edgeless defect (node 2) among growing clusters: defect 0
+        // still skips to pass 4, grows through node 1 to the boundary, and
+        // growth then stalls with node 2 left marked (a peel leak).
+        let dec = with_lengths(3, &[(0, Some(1), 0, 4), (1, None, 1, 4)]);
+        let mut scratch = dec.new_scratch();
+        assert_eq!(dec.decode_with(&mut scratch, &[true, false, true]), 1);
+        assert!(scratch.stalled && scratch.nodes[2].flags & F_MARKED != 0);
+        assert_eq!(remaining(&dec, &mut scratch), [0, 0]);
     }
 }

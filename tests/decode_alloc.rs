@@ -51,9 +51,9 @@ fn steady_state_batch_decode_allocates_nothing() {
     let samples = sample_detectors_on(&pool, &circuit, shots, 41);
     let mut scratch = uf.new_scratch();
 
-    // Warm pass: sizes the frontier pool (already reserved at build time),
-    // the defect/worklist vectors, and the ShotBlock lane lists for the
-    // exact shots the measured pass will revisit.
+    // Warm pass: sizes the defect/worklist vectors (already reserved at
+    // build time) and the ShotBlock lane lists for the exact shots the
+    // measured pass will revisit.
     let warm = uf.count_failures(
         &mut scratch,
         &samples.detectors,

@@ -7,8 +7,10 @@
 //! comparison with proptest-generated matching graphs (random topology,
 //! weights, and observable masks) under random and adversarial syndromes,
 //! checks that a scratch arena stays healthy across thousands of
-//! interleaved decodes, and pins worker-count invariance of the surface
-//! shard loops that consume the batch path.
+//! interleaved decodes, sweeps large random graphs (up to 80 nodes) at
+//! syndrome densities from 1% to 50% and sampled surface-memory syndromes,
+//! and pins worker-count invariance of the surface shard loops that
+//! consume the batch path.
 
 use hetarch::exec::WorkerPool;
 use hetarch::stab::bits::BitTable;
@@ -156,6 +158,156 @@ proptest! {
         }
         prop_assert_eq!(uf.decode_with(&mut scratch, &probe), expected);
     }
+}
+
+/// Minimal LCG for the deterministic large-graph sweep.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// A random connected matching graph of 2..=80 nodes: a random spanning
+/// tree, up to 2n chords and 1–6 boundary edges, with edge probabilities
+/// in 0.01..=0.45 (growth lengths from 4 up to about 90, so clusters run
+/// many passes before the first edge grows).
+fn large_graph(rng: &mut Lcg) -> MatchingGraph {
+    let n = 2 + rng.below(79) as u32;
+    let p = |rng: &mut Lcg| (1 + rng.below(45)) as f64 / 100.0;
+    let mut g = MatchingGraph::new(n as usize);
+    for child in 1..n {
+        let parent = rng.below(u64::from(child)) as u32;
+        let w = p(rng);
+        g.add_edge(parent, Some(child), w, rng.below(4));
+    }
+    for _ in 0..rng.below(2 * u64::from(n) + 1) {
+        let (u, v) = (
+            rng.below(u64::from(n)) as u32,
+            rng.below(u64::from(n)) as u32,
+        );
+        let w = p(rng);
+        if u != v {
+            g.add_edge(u, Some(v), w, rng.below(4));
+        }
+    }
+    for _ in 0..1 + rng.below(6) {
+        let u = rng.below(u64::from(n)) as u32;
+        let w = p(rng);
+        g.add_edge(u, None, w, rng.below(4));
+    }
+    g
+}
+
+/// Checks every decode path of `uf` against `decode_reference` on each
+/// shot of `detectors`: the dense scratch path, the sparse defect list and
+/// the packed batch paths (`decode_shots`, `count_failures`).
+fn assert_all_paths_match_reference(
+    uf: &UnionFindDecoder,
+    detectors: &BitTable,
+    observables: &BitTable,
+) {
+    let mut scratch = uf.new_scratch();
+    let mut syndrome = vec![false; detectors.rows()];
+    let mut defects = Vec::new();
+    for shot in 0..detectors.shots() {
+        defects.clear();
+        for (d, s) in syndrome.iter_mut().enumerate() {
+            *s = detectors.get(d, shot);
+            if *s {
+                defects.push(d as u32);
+            }
+        }
+        let reference = uf.decode_reference(&syndrome);
+        assert_eq!(
+            uf.decode_defects(&mut scratch, &defects),
+            reference,
+            "sparse path diverged at shot {shot}"
+        );
+    }
+    assert_decode_paths_agree(uf, detectors, observables);
+}
+
+/// Large random graphs under syndromes of 1, 3, 8, 20 and 50% density:
+/// every path reproduces `decode_reference` bit for bit.
+#[test]
+fn large_random_graphs_match_reference_at_every_density() {
+    let mut rng = Lcg(0x5eed_1a7e);
+    for _ in 0..120 {
+        let graph = large_graph(&mut rng);
+        let uf = UnionFindDecoder::new(&graph);
+        let n = uf.num_nodes();
+        let mut battery = Vec::new();
+        for percent in [1, 3, 8, 20, 50] {
+            for _ in 0..4 {
+                battery.push((0..n).map(|_| rng.below(100) < percent).collect());
+            }
+        }
+        let (detectors, observables) = pack(&battery, n, rng.next());
+        assert_all_paths_match_reference(&uf, &detectors, &observables);
+    }
+}
+
+/// Sampled circuit-level syndromes of three surface memories (the
+/// benchmark's d=7 memory, a d=5 X-basis memory with unequal coherence
+/// and readout error, a low-noise 3-round d=3 memory): every path
+/// reproduces `decode_reference` bit for bit.
+#[test]
+fn surface_memory_graphs_match_reference() {
+    use hetarch::stab::detector::sample_detectors_on;
+
+    let hetero = SurfaceNoise {
+        t_data: 0.3e-3,
+        t_anc: 0.08e-3,
+        p_meas: 2e-3,
+        ..SurfaceNoise::default()
+    };
+    let low = SurfaceNoise {
+        t_data: 1e-3,
+        t_anc: 1e-3,
+        p1: 2e-4,
+        p2: 2e-3,
+        ..SurfaceNoise::default()
+    };
+    for (memory, shots) in [
+        (SurfaceMemory::new(7, 7, SurfaceNoise::default()), 512),
+        (SurfaceMemory::new_x(5, 5, hetero), 1024),
+        (SurfaceMemory::new(3, 3, low), 1024),
+    ] {
+        let samples = sample_detectors_on(&WorkerPool::new(1), &memory.circuit(), shots, 5);
+        let uf = UnionFindDecoder::new(&memory.matching_graph());
+        assert_all_paths_match_reference(&uf, &samples.detectors, &samples.observables);
+    }
+}
+
+/// `decode_defects` rejects a defect list that is not strictly ascending
+/// and in range, in release builds too: a duplicate or out-of-order defect
+/// would silently change growth.
+#[test]
+fn decode_defects_rejects_malformed_lists() {
+    let mut g = MatchingGraph::new(3);
+    g.add_edge(0, Some(1), 0.1, 1);
+    g.add_edge(1, Some(2), 0.1, 0);
+    g.add_edge(2, None, 0.1, 0);
+    let uf = UnionFindDecoder::new(&g);
+    for bad in [&[1u32, 0][..], &[1, 1], &[0, 3]] {
+        let outcome = std::panic::catch_unwind(|| uf.decode_defects(&mut uf.new_scratch(), bad));
+        assert!(outcome.is_err(), "{bad:?} must be rejected");
+    }
+    let mut scratch = uf.new_scratch();
+    assert_eq!(
+        uf.decode_defects(&mut scratch, &[0, 2]),
+        uf.decode_reference(&[true, false, true])
+    );
 }
 
 /// The sharded surface decode loop sums per-shard failure counts, so the
